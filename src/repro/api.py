@@ -1,7 +1,7 @@
 """Unified facade: one import for protocols, experiments and sweeps.
 
-Every front-end in this repository — the CLI, the benchmark harness,
-the chaos campaign, the examples — needs the same three things: a
+Every front-end in this repository — the CLI, the chaos campaign, the
+report, the benchmark, the examples — needs the same three things: a
 protocol by name, an experiment run from a config, and a sweep over a
 grid of configs.  Historically each of them kept its own protocol-name
 table and imported the runner from a different depth of the package.
@@ -25,17 +25,15 @@ Design rules:
   delegate to :mod:`repro.replay`; the facade adds discovery and
   validation, never semantics.
 
-Old entry points keep working: ``repro.cli.PROTOCOL_FACTORIES`` still
-resolves (via a shim that warns once per process) and the
-``repro.core`` factory functions remain importable, undeprecated — the
-facade wraps them rather than replacing them.
+The ``repro.core`` factory functions remain importable, undeprecated —
+the facade wraps them rather than replacing them.
 """
 
 from __future__ import annotations
 
 import difflib
 import inspect
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .core import (
     adaptive_lease,
@@ -177,10 +175,3 @@ def run_sweep(
         return _sweep(base, points, derive_seeds=derive_seeds)
     return _sweep(base, points, runner=runner, derive_seeds=derive_seeds)
 
-
-#: (old path, new path) rows for the migration table in ``docs/api.md``.
-MIGRATIONS: Tuple[Tuple[str, str], ...] = (
-    ("repro.cli.PROTOCOL_FACTORIES[name]()", "repro.api.build_protocol(name)"),
-    ("repro.replay.run_experiment(config)", "repro.api.run_experiment(config)"),
-    ("repro.replay.sweep(base, points)", "repro.api.run_sweep(base, points)"),
-)

@@ -43,6 +43,7 @@ __all__ = [
     "experiment_label",
     "delta_pct",
     "format_delta",
+    "git_sha",
     "build_manifest",
     "collect_report",
     "load_checkpoint_results",
@@ -60,7 +61,7 @@ REPORT_EXPERIMENTS: Tuple[Tuple[int, str, float], ...] = (
     (4, "SDSC", 2.5),
 )
 
-#: Protocol column order (CLI names; see repro.cli.PROTOCOL_FACTORIES).
+#: Protocol column order (CLI names; see repro.api.PROTOCOLS).
 REPORT_PROTOCOLS: Tuple[str, ...] = ("polling", "invalidation", "ttl")
 
 #: The paper's example request/modification stream (Table 1).
@@ -162,6 +163,34 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def git_sha() -> str:
+    """Short SHA of HEAD in the checkout holding this package, or
+    ``"unknown"`` (not a git checkout, or git is missing).
+
+    Runs git in the package's own directory, so the answer does not
+    depend on the caller's working directory.
+    """
+    import subprocess  # lazy: importing this module must not load it
+
+    try:
+        return (
+            subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                capture_output=True,
+                text=True,
+                timeout=10,
+                cwd=os.path.dirname(os.path.abspath(__file__)),
+            ).stdout.strip()
+            or "unknown"
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+
+
+#: ``build_manifest``'s ``git_sha`` parameter shadows the function.
+_head_sha = git_sha
+
+
 def build_manifest(
     scale: float,
     seed: int,
@@ -177,7 +206,6 @@ def build_manifest(
     a caller explicitly passes a timestamp — the committed ``RESULTS.md``
     omits it so report regeneration is diff-clean).
     """
-    from ..bench import git_sha as bench_git_sha
     from ..replay import result_to_dict
 
     config = {
@@ -190,7 +218,7 @@ def build_manifest(
         label: result_to_dict(result) for label, result in sorted(results.items())
     }
     manifest: Dict[str, object] = {
-        "git_sha": git_sha if git_sha is not None else bench_git_sha(),
+        "git_sha": git_sha if git_sha is not None else _head_sha(),
         "seed": seed,
         "scale": scale,
         "points": len(results),
@@ -224,7 +252,7 @@ def load_checkpoint_results(
         try:
             label, result = read_checkpoint(path)
         except (ValueError, KeyError, json.JSONDecodeError):
-            continue  # not a checkpoint (e.g. a stray BENCH_*.json)
+            continue  # not a checkpoint (any other JSON file)
         if label is not None:
             found[label] = result
     wanted = [

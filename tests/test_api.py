@@ -1,20 +1,15 @@
 """Tests for the :mod:`repro.api` facade.
 
 The facade is the one front door for building protocols and running
-experiments: a name registry with did-you-mean validation, config
-validation before any simulation work starts, and deprecation shims
-that keep the old import paths alive (warning once per process).
+experiments: a name registry with did-you-mean validation, and config
+validation before any simulation work starts.
 """
-
-import warnings
 
 import pytest
 
 import repro
-import repro.api as api
 import repro.cli
 from repro.api import (
-    MIGRATIONS,
     PROTOCOLS,
     build_protocol,
     protocol_names,
@@ -134,25 +129,7 @@ def test_validate_rejects_cluster_with_adaptive_lease():
         )
 
 
-# -- deprecation shims -----------------------------------------------------
-
-
-def test_cli_factories_shim_warns_once():
-    repro.cli._warned_factories = False  # other tests may have tripped it
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            registry = repro.cli.PROTOCOL_FACTORIES
-            again = repro.cli.PROTOCOL_FACTORIES
-        assert registry is PROTOCOLS
-        assert again is PROTOCOLS
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.api" in str(deprecations[0].message)
-    finally:
-        repro.cli._warned_factories = True
+# -- cli module surface ------------------------------------------------
 
 
 def test_cli_shim_unknown_attribute_still_raises():
@@ -169,11 +146,3 @@ def test_facade_exported_from_package_root():
     assert repro.run_experiment is run_experiment
     assert repro.run_sweep is run_sweep
 
-
-def test_migration_table_is_accurate():
-    assert MIGRATIONS
-    for old, new in MIGRATIONS:
-        assert "repro." in old
-        # Every "new" column names a real facade attribute.
-        attr = new.split("repro.api.", 1)[1].split("(")[0]
-        assert hasattr(api, attr)

@@ -19,6 +19,7 @@ from repro.obs.report import (
     delta_pct,
     experiment_label,
     format_delta,
+    git_sha,
     load_checkpoint_results,
     render_report,
 )
@@ -135,7 +136,7 @@ class TestCheckpointLoading:
         assert "EPA-50d/ttl" in message
 
     def test_non_checkpoint_files_skipped(self, report_data, tmp_path):
-        (tmp_path / "BENCH_kernel.json").write_text('{"schema": 1}')
+        (tmp_path / "other.json").write_text('{"schema": 1}')
         (tmp_path / "notes.json").write_text("[]")
         for index, (label, result) in enumerate(
             sorted(report_data.results.items())
@@ -173,3 +174,16 @@ class TestGoldenReport:
         ):
             assert heading in text
         assert "testsha" in text
+
+
+def test_git_sha_returns_string():
+    sha = git_sha()
+    assert isinstance(sha, str)
+    assert sha
+
+
+def test_git_sha_independent_of_working_directory(monkeypatch, tmp_path):
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(__file__)))
+    from_repo_root = git_sha()
+    monkeypatch.chdir(tmp_path)
+    assert git_sha() == from_repo_root
