@@ -6,7 +6,7 @@ second figure bounds the whole suite's runtime.  These run with real
 statistical rounds (unlike the one-shot replay benchmarks).
 """
 
-from repro.sim import AllOf, Resource, Simulator, Store
+from repro.sim import AllOf, FcfsResource, Resource, Simulator, Store
 
 
 def test_timeout_event_throughput(benchmark):
@@ -66,6 +66,28 @@ def test_resource_contention_throughput(benchmark):
                 with cpu.request() as req:
                     yield req
                     yield sim.timeout(0.001)
+            done[0] += 1
+
+        for _ in range(40):
+            sim.process(worker(sim))
+        sim.run()
+        return done[0]
+
+    assert benchmark(run) == 40
+
+
+def test_fcfs_hold_throughput(benchmark):
+    """Busy-until holds on a capacity-1 server: the same worker loop as
+    above, one pooled sleep per hold instead of a grant and a sleep."""
+
+    def run():
+        sim = Simulator()
+        cpu = FcfsResource(sim)
+        done = [0]
+
+        def worker(sim):
+            for _ in range(50):
+                yield cpu.hold(0.001)
             done[0] += 1
 
         for _ in range(40):

@@ -239,9 +239,7 @@ class AcceleratorShard(ServerSite):
             yield hold
         try:
             # One CPU charge per batch — the point of coalescing.
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(self.costs.cpu_invalidate_msg)
+            yield self.cpu.hold(self.costs.cpu_invalidate_msg)
             message = make_invalidate_batch(
                 self.address, proxy, grouped, wire=self.wire
             )

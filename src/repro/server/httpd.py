@@ -36,7 +36,7 @@ from ..http import (
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..metering import UsageLedger
 from ..net import DeliveryFailed, Message, Network, ReliableChannel
-from ..sim import Resource, Simulator
+from ..sim import FcfsResource, Resource, Simulator
 from .accelerator import AcceleratorConfig
 from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import FileStore
@@ -66,9 +66,9 @@ class ServerSite:
         self.costs = costs
         self.wire = wire
 
-        #: Single-CPU and single-disk FIFO resources (SPARC-20 model).
-        self.cpu = Resource(sim, capacity=1)
-        self.disk = Resource(sim, capacity=1)
+        #: Single-CPU and single-disk FCFS servers (SPARC-20 model).
+        self.cpu = FcfsResource(sim)
+        self.disk = FcfsResource(sim)
         #: The accept loop: requests acquire it briefly to be admitted; a
         #: blocking invalidation send holds it for the whole fan-out.
         self.accept_lock = Resource(sim, capacity=1)
@@ -157,17 +157,13 @@ class ServerSite:
         # invalidation sends.
         with self.accept_lock.request() as admit:
             yield admit
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(costs.cpu_accept)
+            yield self.cpu.hold(costs.cpu_accept)
 
         # Parse + accelerator bookkeeping.
-        with self.cpu.request() as cpu:
-            yield cpu
-            cost = costs.cpu_parse
-            if self.accel.invalidation:
-                cost += costs.cpu_sitelist
-            yield sim.sleep(cost)
+        cost = costs.cpu_parse
+        if self.accel.invalidation:
+            cost += costs.cpu_sitelist
+        yield self.cpu.hold(cost)
 
         self.ledger.record_request(request.url)
         if request.reported_hits:
@@ -189,13 +185,9 @@ class ServerSite:
 
         if modified:
             # Full transfer: read the document from disk, build the reply.
-            with self.disk.request() as disk:
-                yield disk
-                yield sim.sleep(costs.disk_fetch(doc.size))
+            yield self.disk.hold(costs.disk_fetch(doc.size))
             self.disk_reads += 1
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(costs.cpu_reply(doc.size))
+            yield self.cpu.hold(costs.cpu_reply(doc.size))
             reply = make_reply_200(
                 request,
                 body_bytes=doc.size,
@@ -205,9 +197,7 @@ class ServerSite:
             )
             self.replies_200 += 1
         else:
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(costs.cpu_reply(0))
+            yield self.cpu.hold(costs.cpu_reply(0))
             reply = make_reply_304(
                 request,
                 last_modified=doc.last_modified,
@@ -224,9 +214,7 @@ class ServerSite:
                 self.piggybacked_urls += len(urls)
 
         # All three approaches log incoming requests (paper Section 5.2).
-        with self.disk.request() as disk:
-            yield disk
-            yield sim.sleep(costs.disk_log_write)
+        yield self.disk.hold(costs.disk_log_write)
         self.disk_writes += 1
 
         self.requests_handled += 1
@@ -271,9 +259,7 @@ class ServerSite:
             )
         # Persistent every-site log: disk write only on first sight.
         if self.known_sites.record(request.client_id, request.src):
-            with self.disk.request() as disk:
-                yield disk
-                yield self.sim.sleep(self.costs.disk_sitelog_write)
+            yield self.disk.hold(self.costs.disk_sitelog_write)
             self.disk_writes += 1
         if not self.accel.grant_leases:
             return None
@@ -372,9 +358,7 @@ class ServerSite:
                 for entry in entries:
                     by_proxy.setdefault(entry.proxy, []).append(entry.client_id)
                 for proxy, client_ids in by_proxy.items():
-                    with self.cpu.request() as cpu:
-                        yield cpu
-                        yield sim.sleep(self.costs.cpu_invalidate_msg)
+                    yield self.cpu.hold(self.costs.cpu_invalidate_msg)
                     message = make_invalidate_multi(
                         self.address, proxy, url, client_ids, wire=self.wire
                     )
@@ -389,9 +373,7 @@ class ServerSite:
                         self._pending_inval.pop((url, cid), None)
             else:
                 for entry in entries:
-                    with self.cpu.request() as cpu:
-                        yield cpu
-                        yield sim.sleep(self.costs.cpu_invalidate_msg)
+                    yield self.cpu.hold(self.costs.cpu_invalidate_msg)
                     message = make_invalidate_url(
                         self.address, entry.proxy, url, entry.client_id,
                         wire=self.wire,
@@ -427,14 +409,11 @@ class ServerSite:
 
     def _flush_dirty(self, proxy: str):
         """Re-send abandoned invalidations now that ``proxy`` is in touch."""
-        sim = self.sim
         pairs = list(self._dirty_by_proxy.pop(proxy, {}))
         server_inval = proxy in self._dirty_server_inval
         self._dirty_server_inval.discard(proxy)
         if server_inval:
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(self.costs.cpu_invalidate_msg)
+            yield self.cpu.hold(self.costs.cpu_invalidate_msg)
             message = make_invalidate_server(
                 self.address, proxy, server=self.address, wire=self.wire
             )
@@ -446,9 +425,7 @@ class ServerSite:
                 self.invalidations_sent += 1
                 self._pending_server_inval.discard(proxy)
         for url, cid in pairs:
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(self.costs.cpu_invalidate_msg)
+            yield self.cpu.hold(self.costs.cpu_invalidate_msg)
             message = make_invalidate_url(
                 self.address, proxy, url, cid, wire=self.wire
             )
@@ -526,13 +503,10 @@ class ServerSite:
         return self.sim.process(self._recovery_fanout(sorted(targets)))
 
     def _recovery_fanout(self, proxies: List[str]):
-        sim = self.sim
         # One INVALIDATE-by-server per proxy host is enough: the proxy
         # marks every cached document from this server questionable.
         for proxy in proxies:
-            with self.cpu.request() as cpu:
-                yield cpu
-                yield sim.sleep(self.costs.cpu_invalidate_msg)
+            yield self.cpu.hold(self.costs.cpu_invalidate_msg)
             message = make_invalidate_server(
                 self.address, proxy, server=self.address, wire=self.wire
             )

@@ -25,7 +25,7 @@ from .core import (
     Timeout,
 )
 from .process import AllOf, AnyOf, ConditionValue, Process
-from .resources import Request, Resource, Store
+from .resources import FcfsResource, Request, Resource, Store
 from .rng import RngRegistry
 from .tracing import EventTracer
 
@@ -41,6 +41,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "ConditionValue",
+    "FcfsResource",
     "Resource",
     "Request",
     "Store",

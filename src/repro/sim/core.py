@@ -31,7 +31,8 @@ Allocation avoidance on the hot path:
   generator resumption.
 * :meth:`Simulator.sleep` returns a pooled one-shot timeout for the
   ubiquitous ``yield sim.sleep(delta)`` pattern; the event object is
-  recycled as soon as its callbacks have run.
+  recycled as soon as its callbacks have run.  :meth:`Simulator.sleep_until`
+  is the same at an absolute time (the busy-until servers' completions).
 
 Both fall back to real :class:`Timeout` events while an
 :class:`~repro.sim.tracing.EventTracer` is attached, so traced runs keep
@@ -406,6 +407,50 @@ class Simulator:
         event._ok = True
         event._value = None
         self._enqueue(event, NORMAL, delay)
+        return event
+
+    def sleep_until(self, when: float) -> Event:
+        """Pooled one-shot timeout firing at the absolute time ``when``.
+
+        The absolute-time twin of :meth:`sleep`, with the same contract
+        (yield immediately; never store, compose or cancel).  Callers that
+        compute an end time by arithmetic (see
+        :class:`~repro.sim.resources.FcfsResource`) schedule it exactly,
+        without the rounding of ``now + (when - now)``.  Falls back to a
+        real :class:`Timeout` at the same time while a tracer is attached.
+        """
+        if when < self._now:
+            raise ValueError(
+                f"sleep_until({when!r}) is in the past (now={self._now!r})"
+            )
+        if self._tracer is not None:
+            # A real Timeout for the tracer, enqueued at ``when`` below
+            # rather than through Timeout(delay) and its ``now + delay``.
+            event = Timeout.__new__(Timeout)
+            Event.__init__(event, self)
+            event.delay = when - self._now
+            event._value = None
+        else:
+            pool = self._sleep_pool
+            event = pool.pop() if pool else _Sleep(self)
+            event._ok = True
+            event._value = None
+        # Hot path: _enqueue inlined, at an absolute time.
+        self._seq += 1
+        entry = (when, NORMAL, self._seq, event)
+        if when < self._cur_limit:
+            heappush(self._cur_heap, entry)
+        else:
+            bucket = int(when * self._inv_width)
+            if bucket < self._cur_idx + self._nbuckets:
+                lst = self._buckets.get(bucket)
+                if lst is None:
+                    self._buckets[bucket] = [entry]
+                else:
+                    lst.append(entry)
+            else:
+                heappush(self._far, entry)
+        self._depth += 1
         return event
 
     def process(self, generator) -> "Process":

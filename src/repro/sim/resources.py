@@ -1,22 +1,91 @@
 """Shared resources for simulation processes.
 
-Two primitives cover everything the reproduction needs:
-
-* :class:`Resource` — a counted resource (e.g. a server CPU, a disk arm)
-  with FIFO queueing.  Used by the cost models to serialise work and to
-  measure utilisation.
-* :class:`Store` — an unbounded FIFO mailbox of items.  Used for request
-  queues and message inboxes.
+* :class:`FcfsResource` — a single-unit first-come-first-served server
+  kept as busy-until arithmetic.  The server's CPU and disk are these:
+  every charge is a pure delay, so a hold is one pooled sleep.
+* :class:`Resource` — a counted resource with FIFO queueing and real
+  grant/release events, for claims held across other waits (the
+  server's accept lock is held across a blocking INVALIDATE fan-out).
+* :class:`Store` — an unbounded FIFO mailbox of items with a blocking
+  ``get``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List, Optional, Tuple
 
 from .core import Event, Simulator
 
-__all__ = ["Resource", "Request", "Store"]
+__all__ = ["FcfsResource", "Resource", "Request", "Store"]
+
+
+class FcfsResource:
+    """A single-unit FCFS server modelled with busy-until time.
+
+    ``yield res.hold(d)`` has exactly the timing of::
+
+        with resource.request() as req:   # capacity-1 Resource
+            yield req
+            yield sim.sleep(d)
+
+    A hold starts at ``max(now, busy_until)``, ends at ``start + d`` and
+    returns one pooled sleep firing at that absolute end time — no
+    request event, no grant, no release and one generator resumption
+    instead of two.  Work is committed the moment :meth:`hold` is
+    called, so a hold can be neither interrupted nor cancelled; use a
+    :class:`Resource` for claims that need either.
+
+    :meth:`busy_time` matches :class:`Resource`'s accounting bit for bit:
+    the durations of completed holds are summed in FIFO order, then the
+    elapsed part of the hold in progress is added.
+    """
+
+    __slots__ = ("sim", "_busy_until", "_busy_time", "_holds")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._busy_until = sim.now
+        self._busy_time = 0.0
+        #: ``(start, end)`` of holds not yet folded into ``_busy_time``.
+        self._holds: Deque[Tuple[float, float]] = deque()
+
+    def hold(self, duration: float) -> Event:
+        """Queue ``duration`` seconds of service; yield the returned event.
+
+        The event fires when the service completes.  Like
+        :meth:`Simulator.sleep`, it must be yielded immediately.
+        """
+        if duration < 0:
+            raise ValueError(f"negative hold duration {duration!r}")
+        sim = self.sim
+        now = sim._now
+        holds = self._holds
+        if holds and holds[0][1] <= now:
+            self._fold(now)
+        start = self._busy_until
+        if start < now:
+            start = now
+        end = start + duration
+        self._busy_until = end
+        holds.append((start, end))
+        return sim.sleep_until(end)
+
+    def busy_time(self) -> float:
+        """Cumulative busy seconds up to the current instant."""
+        now = self.sim.now
+        self._fold(now)
+        holds = self._holds
+        if holds and holds[0][0] < now:
+            return self._busy_time + (now - holds[0][0])
+        return self._busy_time
+
+    def _fold(self, now: float) -> None:
+        """Add completed holds to the total, oldest first."""
+        holds = self._holds
+        while holds and holds[0][1] <= now:
+            start, end = holds.popleft()
+            self._busy_time += end - start
 
 
 class Request(Event):

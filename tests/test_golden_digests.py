@@ -1,0 +1,103 @@
+"""Golden digests: pinned hashes of replay results across commits.
+
+The differential suites compare two code paths at the *same* commit, so
+a refactor that changes both sides at once still passes them.  This test
+pins the sha256 of :func:`~repro.replay.serialize.result_to_dict` for a
+fixed grid of replays in ``tests/data/golden_digests.json``: EPA x0.02,
+five protocols (adaptive TTL, polling, invalidation, lease, two-tier),
+each in three modes (default, audited, 4 shards with batching).
+
+A digest may change only on purpose.  After an intentional change,
+regenerate the file and say in CHANGES.md why the digests moved::
+
+    PYTHONPATH=src python -m tests.test_golden_digests --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core.adaptive_ttl import adaptive_ttl
+from repro.core.invalidation import invalidation
+from repro.core.leases import lease_invalidation, two_tier_lease
+from repro.core.polling import poll_every_time
+from repro.replay.experiment import ExperimentConfig, run_experiment
+from repro.replay.serialize import result_to_dict
+from repro.sim import RngRegistry
+from repro.traces import generate_trace, profile
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_digests.json"
+
+PROTOCOLS = {
+    "adaptive_ttl": adaptive_ttl,
+    "polling": poll_every_time,
+    "invalidation": invalidation,
+    "lease": lease_invalidation,
+    "two_tier": two_tier_lease,
+}
+
+MODES = {
+    "default": {},
+    "audit": {"audit": True},
+    "shards4_batched": {"shards": 4, "batch_window": 1.0, "batch_max": 32},
+}
+
+#: Host-clock provenance that a serialized result may carry; everything
+#: else in it is deterministic simulation output.
+_WALL_CLOCK_FIELDS = ("wall_seconds", "timestamp")
+
+CASES = [f"{protocol}/{mode}" for protocol in PROTOCOLS for mode in MODES]
+
+_TRACE = []
+
+
+def _trace():
+    if not _TRACE:
+        _TRACE.append(
+            generate_trace(profile("EPA").scaled(0.02), RngRegistry(seed=3))
+        )
+    return _TRACE[0]
+
+
+def digest(case: str) -> str:
+    """sha256 of one case's serialized result, wall-clock fields removed."""
+    protocol, mode = case.split("/")
+    config = ExperimentConfig(
+        trace=_trace(),
+        protocol=PROTOCOLS[protocol](),
+        mean_lifetime=7 * 86400.0,
+        seed=11,
+        **MODES[mode],
+    )
+    data = result_to_dict(run_experiment(config))
+    for field in _WALL_CLOCK_FIELDS:
+        data.pop(field, None)
+    text = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(_golden()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_digest(case):
+    assert digest(case) == _golden()[case], (
+        f"{case}: results changed; if intended, regenerate "
+        f"{GOLDEN_PATH.name} and explain why in CHANGES.md"
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_golden_digests --write")
+    GOLDEN_PATH.write_text(
+        json.dumps({case: digest(case) for case in CASES}, indent=2) + "\n"
+    )

@@ -133,9 +133,7 @@ class TestIostatSampler:
 
         def load(sim):
             # Hold the CPU for 30 of the first 60 seconds.
-            with server.cpu.request() as req:
-                yield req
-                yield sim.timeout(30.0)
+            yield server.cpu.hold(30.0)
 
         sim.process(load(sim))
         sim.run(until=60.0)

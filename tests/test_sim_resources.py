@@ -1,8 +1,10 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for FcfsResource, Resource and Store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import EventTracer, FcfsResource, Resource, Simulator, Store
 
 
 def test_resource_capacity_validation():
@@ -199,3 +201,130 @@ def test_store_clear():
     assert store.clear() == 2
     assert len(store) == 0
     assert store.items == ()
+
+
+# -- FcfsResource ------------------------------------------------------------
+
+
+def test_fcfs_idle_gap_restarts_at_now():
+    sim = Simulator()
+    res = FcfsResource(sim)
+    ends = []
+
+    def user(sim):
+        yield res.hold(1.0)
+        ends.append(sim.now)
+        yield sim.sleep(4.0)
+        yield res.hold(1.0)
+        ends.append(sim.now)
+
+    sim.process(user(sim))
+    sim.run(until=10.0)
+    assert ends == [1.0, 6.0]
+    assert res.busy_time() == 2.0
+
+
+def test_fcfs_rejects_negative_hold():
+    res = FcfsResource(Simulator())
+    with pytest.raises(ValueError):
+        res.hold(-1.0)
+
+
+def test_sleep_until_rejects_the_past():
+    sim = Simulator(start_time=5.0)
+    with pytest.raises(ValueError):
+        sim.sleep_until(4.0)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_sleep_until_fires_at_the_absolute_time(traced):
+    # now + (when - now) rounds to 1.0 here, not to ``when``.
+    now, when = 2.0**-53, 1.0 + 2.0**-52
+    assert now + (when - now) != when
+    sim = Simulator(start_time=now)
+    if traced:
+        EventTracer(sim)
+    fired = []
+
+    def proc(sim):
+        yield sim.sleep_until(when)
+        fired.append(sim.now)
+
+    sim.process(proc(sim))
+    sim.run()
+    assert fired == [when]
+
+
+_durations = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.001, 0.0125, 0.1, 0.3]),
+    st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+)
+# Zero gaps put several arrivals at the same instant; long gaps leave the
+# server idle between bursts.
+_gaps = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    st.floats(min_value=2.0, max_value=10.0, allow_nan=False),
+)
+
+
+def _drive(schedule, sample_at, traced, use_hold):
+    """Replay ``schedule`` through a hold() server or Resource + sleep.
+
+    Returns every completion time (by job), ``busy_time()`` read by each
+    job as it completes and at each arrival, and ``busy_time()`` read at
+    each of the ``sample_at`` instants.
+    """
+    sim = Simulator()
+    if traced:
+        EventTracer(sim)
+    if use_hold:
+        res = FcfsResource(sim)
+    else:
+        res = Resource(sim, capacity=1)
+    completions = {}
+    boundary_busy = []
+
+    def job(sim, index, duration):
+        if use_hold:
+            yield res.hold(duration)
+        else:
+            with res.request() as req:
+                yield req
+                yield sim.sleep(duration)
+        completions[index] = sim.now
+        boundary_busy.append((index, res.busy_time()))
+
+    def arrivals(sim):
+        for index, (gap, duration) in enumerate(schedule):
+            if gap:
+                yield sim.sleep(gap)
+            boundary_busy.append(("arrival", res.busy_time()))
+            sim.process(job(sim, index, duration))
+
+    sim.process(arrivals(sim))
+    sampled = []
+    for t in sorted(sample_at):
+        sim.run(until=t)
+        sampled.append(res.busy_time())
+    sim.run()
+    sampled.append(res.busy_time())
+    return completions, boundary_busy, sampled
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    schedule=st.lists(st.tuples(_gaps, _durations), min_size=1, max_size=25),
+    sample_at=st.lists(
+        st.floats(min_value=0.0, max_value=40.0, allow_nan=False), max_size=12
+    ),
+    traced=st.booleans(),
+)
+def test_fcfs_hold_equals_resource_plus_sleep(schedule, sample_at, traced):
+    by_resource = _drive(schedule, sample_at, traced, use_hold=False)
+    by_hold = _drive(schedule, sample_at, traced, use_hold=True)
+    # Bit-identical: plain ==, never approx.
+    assert by_hold[0] == by_resource[0]
+    assert sorted(by_hold[1], key=repr) == sorted(by_resource[1], key=repr)
+    assert by_hold[2] == by_resource[2]
