@@ -24,7 +24,9 @@ A :class:`ParentProxy` is a network-served shared cache:
   invalidation out to interested children; the server-address form is
   forwarded to every known child;
 * concurrent child misses for the same document are *coalesced* into a
-  single upstream fetch (later requests wait on the in-flight one).
+  single upstream fetch (later requests wait on the in-flight one); an
+  upstream fetch whose reply never comes fails after the leaf proxies'
+  ``REPLY_TIMEOUT`` (30 s), so a later miss fetches again.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from ..http import (
     make_reply_304,
 )
 from ..http.wire import DEFAULT_WIRE, WireCosts
-from ..net import Message, Network, ReliableChannel, Unreachable
+from ..net import Message, Network, ReliableChannel
 from ..proxy.cache import Cache
 from ..proxy.entry import CacheEntry
-from ..proxy.proxy import ProxyCosts
+from ..proxy.proxy import REPLY_TIMEOUT, ProxyCosts, ReplyRendezvous, RequestFailed
 from ..server.sitelist import InvalidationTable
 from ..sim import Event, Simulator
 
@@ -84,7 +86,7 @@ class ParentProxy:
         self.interest = InvalidationTable()
         #: Every child proxy ever seen (for server-form forwarding).
         self._known_children: Set[str] = set()
-        self._pending: Dict[int, Event] = {}
+        self._replies = ReplyRendezvous(network, REPLY_TIMEOUT)
         #: In-flight upstream fetches by URL; later misses wait on these.
         self._inflight: Dict[str, Event] = {}
 
@@ -107,9 +109,7 @@ class ParentProxy:
             self._known_children.add(message.src)
             self.sim.process(self._serve(message))
         elif isinstance(message, HttpResponse):
-            waiter = self._pending.pop(message.reply_to, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(message)
+            self._replies.receive(message)
         elif isinstance(message, Invalidate):
             self.invalidations_received += 1
             self.sim.process(self._propagate(message))
@@ -193,14 +193,10 @@ class ParentProxy:
                 client_id=self.address,
                 wire=self.wire,
             )
-        waiter = Event(sim)
-        self._pending[upstream.msg_id] = waiter
         try:
-            yield self.network.send(upstream)
-        except Unreachable:
-            self._pending.pop(upstream.msg_id, None)
+            response = yield self._replies.send(upstream)
+        except RequestFailed:
             return None
-        response = yield waiter
         self.upstream_fetches += 1
         if response.status == NOT_MODIFIED:
             stale_entry.questionable = False
@@ -260,7 +256,7 @@ class ParentProxy:
         self.up = False
         self.network.set_down(self.address)
         self.interest = InvalidationTable()
-        self._pending.clear()
+        self._replies.clear()
 
     def recover(self):
         """Restart: our copies *and the children's* become questionable.

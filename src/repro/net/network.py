@@ -4,13 +4,14 @@ Delivery semantics model a TCP connection at the granularity the paper
 cares about:
 
 * A send to a reachable, live node is delivered after the latency model's
-  one-way delay; the event returned by :meth:`Network.send` succeeds at the
-  moment of delivery (the sender can treat that as "the TCP send
-  completed").
+  one-way delay; its outcome (the event :meth:`Network.send` returns, or
+  the sender's ``notify`` callback) succeeds at the moment of delivery
+  (the sender can treat that as "the TCP send completed").
 * A send to a down node or across a partition fails with
   :class:`Unreachable` after ``connect_timeout`` seconds, mirroring a
-  refused/timed-out connection.  Fire-and-forget senders may ignore the
-  returned event; the failure is pre-defused so it never crashes the run.
+  refused/timed-out connection.  Fire-and-forget senders
+  (``wait=False``) get no outcome at all, so a failure never crashes the
+  run.
 * A crashed *sender* cannot transmit either: its sends fail the same way,
   so a process that outlives its host (e.g. an invalidation fan-out whose
   server died mid-loop) retries instead of teleporting messages.
@@ -87,15 +88,11 @@ class Network:
         latency: Optional[LatencyModel] = None,
         stats: Optional[NetworkStats] = None,
         connect_timeout: float = 3.0,
-        fast_sends: bool = True,
     ) -> None:
         self.sim = sim
         self.latency = latency or LanModel()
         self.stats = stats or NetworkStats()
         self.connect_timeout = connect_timeout
-        #: Allow the zero-allocation route for ``send(..., wait=False)``.
-        #: Disabled by the differential tests to force the general path.
-        self.fast_sends = fast_sends
         self._handlers: Dict[Address, Callable[[Message], None]] = {}
         self._down: Set[Address] = set()
         self._partitions: Dict[int, Tuple[frozenset, frozenset]] = {}
@@ -197,84 +194,56 @@ class Network:
 
     # -- transport ------------------------------------------------------------
 
-    def _deliver_nowait(self, message: Message) -> None:
-        """Delivery leg of the fire-and-forget route (no outcome event)."""
-        if message.dst in self._down:
-            self.stats.record_loss(message, "destination died in flight")
-            return
-        if not self.is_reachable(message.src, message.dst):
-            self.stats.record_loss(message, "partition formed in flight")
-            return
-        self.stats.record_delivery(message)
-        self._handlers[message.dst](message)
+    def send(
+        self,
+        message: Message,
+        wait: bool = True,
+        notify: Optional[Callable[[Message, Optional[Unreachable]], None]] = None,
+    ) -> Optional[Event]:
+        """Send a message and report its outcome.
 
-    def _drop_nowait(self, message: Message) -> None:
-        """Connect-timeout leg of the fire-and-forget route."""
-        self.stats.record_drop(message)
+        The outcome is known at delivery time, or after the connect
+        timeout when the destination cannot be reached.  It is reported
+        in one of three ways:
 
-    def send(self, message: Message, wait: bool = True) -> Optional[Event]:
-        """Send a message; returns an event tracking the outcome.
+        * ``notify(message, None)`` on delivery (before the receiver's
+          handler runs), or ``notify(message, Unreachable(...))`` on
+          failure, when ``notify`` is given; ``send`` returns ``None``.
+        * Otherwise, with ``wait=True``, through the returned event: it
+          succeeds with the message or fails with :class:`Unreachable`.
+          The failure is pre-defused, so a sender that stops waiting is
+          not crashed by it (the channel layer is the place for retries).
+        * With ``wait=False`` the caller discards the outcome
+          (fire-and-forget) and ``send`` returns ``None``.
 
-        The event succeeds with the message at delivery time, or fails with
-        :class:`Unreachable` after the connect timeout.  The failure is
-        pre-defused: senders that do not wait on the event are not crashed
-        by it (the channel layer is the place for retry logic).
-
-        ``wait=False`` declares that the caller discards the outcome
-        (fire-and-forget).  When no link fault or tracer is attached the
-        send then takes a zero-allocation route — one pooled callback
-        entry, no :class:`Event` construction — and returns ``None``.
-        Stats, delivery-time reachability re-checks and timing are
-        identical to the general path; only the no-op processing of the
-        unobserved outcome event disappears, so replay results are
-        unchanged event-for-event.
+        Every leg is one pooled :meth:`~repro.sim.Simulator.call_later`
+        entry running a bound method of this network; stats, link faults
+        and the delivery-time reachability re-check are the same for all
+        three forms.
         """
-        if (
-            not wait
-            and self.fast_sends
-            and self.sim._tracer is None
-            and not self._link_faults
-        ):
-            if message.dst not in self._handlers or (
-                message.src in self._down
-                or message.dst in self._down
-                or not self.is_reachable(message.src, message.dst)
-            ):
-                self.sim.call_later(self.connect_timeout, self._drop_nowait, message)
-                return None
-            self.stats.record_send(message)
-            self.sim.call_later(
-                self.latency.delay(message), self._deliver_nowait, message
-            )
-            return None
-
-        outcome = Event(self.sim)
-
-        def fail(reason: str, delay: float, lost: bool = False) -> None:
-            def do_fail() -> None:
-                if lost:
-                    self.stats.record_loss(message, reason)
-                else:
-                    self.stats.record_drop(message)
-                outcome._defused = True
-                outcome.fail(Unreachable(message, reason))
-
-            self.sim.schedule_callback(delay, do_fail)
-
+        outcome = None
+        if notify is None and wait:
+            notify = outcome = _SendOutcome(self.sim)
+        call_later = self.sim.call_later
+        refused = None
         if message.dst not in self._handlers:
-            fail("unknown address", self.connect_timeout)
-            return outcome
-        if (
+            refused = "unknown address"
+        elif (
             message.src in self._down
             or message.dst in self._down
             or not self.is_reachable(message.src, message.dst)
         ):
-            fail("host unreachable", self.connect_timeout)
+            refused = "host unreachable"
+        if refused is not None:
+            call_later(
+                self.connect_timeout, self._fail, message, refused, False, notify
+            )
             return outcome
 
-        fault_hit = self._fault_for(message.src, message.dst)
+        fault_hit = (
+            self._fault_for(message.src, message.dst) if self._link_faults else None
+        )
         self.stats.record_send(message)
-
         delay = self.latency.delay(message)
         duplicate_delay: Optional[float] = None
         if fault_hit is not None:
@@ -283,7 +252,10 @@ class Network:
                 # The segment vanished: the sender times out waiting for
                 # the ACK, exactly like a connect failure, but the loss is
                 # recorded as such for sent-vs-delivered reconciliation.
-                fail("link fault", self.connect_timeout, lost=True)
+                call_later(
+                    self.connect_timeout, self._fail, message,
+                    "link fault", True, notify,
+                )
                 return outcome
             delay += fault.extra_delay
             if fault.jitter > 0:
@@ -293,33 +265,59 @@ class Network:
                 if fault.jitter > 0:
                     duplicate_delay += rng.uniform(0.0, fault.jitter)
 
-        def in_flight_loss_reason() -> Optional[str]:
-            if message.dst in self._down:
-                return "destination died in flight"
-            if not self.is_reachable(message.src, message.dst):
-                return "partition formed in flight"
-            return None
-
-        def deliver() -> None:
-            # Re-check at delivery time: the destination may have crashed or
-            # been partitioned away while the message was in flight.
-            reason = in_flight_loss_reason()
-            if reason is not None:
-                self.stats.record_loss(message, reason)
-                outcome._defused = True
-                outcome.fail(Unreachable(message, "lost in flight"))
-                return
-            self.stats.record_delivery(message)
-            outcome.succeed(message)
-            self._handlers[message.dst](message)
-
-        def deliver_duplicate() -> None:
-            if in_flight_loss_reason() is not None:
-                return  # the duplicate just vanishes; nobody tracks it
-            self.stats.record_duplicate(message)
-            self._handlers[message.dst](message)
-
-        self.sim.schedule_callback(delay, deliver)
+        call_later(delay, self._deliver, message, notify)
         if duplicate_delay is not None:
-            self.sim.schedule_callback(duplicate_delay, deliver_duplicate)
+            call_later(duplicate_delay, self._deliver_duplicate, message)
         return outcome
+
+    def _fail(self, message: Message, reason: str, lost: bool, notify) -> None:
+        """Connect-timeout leg: the send never reached its destination."""
+        if lost:
+            self.stats.record_loss(message, reason)
+        else:
+            self.stats.record_drop(message)
+        if notify is not None:
+            notify(message, Unreachable(message, reason))
+
+    def _in_flight_loss(self, message: Message) -> Optional[str]:
+        """Why a message in flight can no longer land (``None``: it can)."""
+        if message.dst in self._down:
+            return "destination died in flight"
+        if self._partitions and not self.is_reachable(message.src, message.dst):
+            return "partition formed in flight"
+        return None
+
+    def _deliver(self, message: Message, notify) -> None:
+        """Delivery leg, re-checking reachability at delivery time."""
+        # The destination may have crashed or been partitioned away while
+        # the message was in flight.
+        reason = self._in_flight_loss(message)
+        if reason is not None:
+            self.stats.record_loss(message, reason)
+            if notify is not None:
+                notify(message, Unreachable(message, "lost in flight"))
+            return
+        self.stats.record_delivery(message)
+        if notify is not None:
+            notify(message, None)
+        self._handlers[message.dst](message)
+
+    def _deliver_duplicate(self, message: Message) -> None:
+        """A link fault's extra copy; it vanishes silently if it cannot land."""
+        if self._in_flight_loss(message) is not None:
+            return
+        self.stats.record_duplicate(message)
+        self._handlers[message.dst](message)
+
+
+class _SendOutcome(Event):
+    """The event :meth:`Network.send` returns; it is its own ``notify``."""
+
+    __slots__ = ()
+
+    def __call__(self, message: Message, error: Optional[Unreachable]) -> None:
+        if error is None:
+            self.succeed(message)
+        else:
+            self._defused = True
+            self.fail(error)

@@ -32,15 +32,97 @@ from ..http import (
 )
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..net import Message, Network, Unreachable
-from ..sim import AnyOf, Event, Simulator
+from ..sim import Event, Simulator
 from .cache import Cache
 from .entry import CacheEntry, entry_key
 
-__all__ = ["ProxyCache", "ProxyCosts", "RequestOutcome", "RequestFailed"]
+__all__ = [
+    "ProxyCache",
+    "ProxyCosts",
+    "ReplyRendezvous",
+    "RequestOutcome",
+    "RequestFailed",
+]
+
+
+#: Seconds after a request's delivery before it fails unanswered.
+REPLY_TIMEOUT = 30.0
 
 
 class RequestFailed(Exception):
     """A client request could not be completed (server down/partition)."""
+
+
+class ReplyRendezvous:
+    """A node's request/reply round trips, one kernel event each.
+
+    :meth:`send` returns the one event the requesting process waits on.
+    Only the matching reply (:meth:`receive`) succeeds it.  It fails with
+    :class:`RequestFailed` when the request cannot be delivered (connect
+    failure or in-flight loss, reported by :meth:`Network.send`), or when
+    no reply arrives within ``reply_timeout`` seconds of the delivery.
+    The reply timer is a pooled, cancellable ``call_later`` armed by the
+    delivery report and cancelled by the reply.
+
+    :meth:`clear` (a crash) forgets every pending request: later replies
+    are ignored and each request fails when its reply timer fires.
+    """
+
+    def __init__(self, network: Network, reply_timeout: float) -> None:
+        self.network = network
+        self.reply_timeout = reply_timeout
+        self._pending: Dict[int, _Reply] = {}
+
+    def send(self, request: HttpRequest) -> Event:
+        """Send ``request``; the returned event gets its reply."""
+        waiter = _Reply(self, request)
+        self._pending[request.msg_id] = waiter
+        self.network.send(request, notify=waiter)
+        return waiter
+
+    def receive(self, reply: HttpResponse) -> None:
+        """Hand a reply to the request waiting for it (if any)."""
+        waiter = self._pending.pop(reply.reply_to, None)
+        if waiter is None:
+            return
+        if waiter.timer is None:
+            # A duplicate of the request overtook it and was answered:
+            # the reply waits until the request itself is delivered.
+            waiter.early = reply
+        else:
+            waiter.timer.cancel()
+            waiter.succeed(reply)
+
+    def clear(self) -> None:
+        """Forget every pending request (the node crashed)."""
+        self._pending.clear()
+
+
+class _Reply(Event):
+    """The event one round trip waits on (see :class:`ReplyRendezvous`)."""
+
+    __slots__ = ("owner", "request", "timer", "early")
+
+    def __init__(self, owner: ReplyRendezvous, request: HttpRequest) -> None:
+        super().__init__(owner.network.sim)
+        self.owner = owner
+        self.request = request
+        self.timer = None
+        self.early: Optional[HttpResponse] = None
+
+    def __call__(self, message: Message, error: Optional[Unreachable]) -> None:
+        """The request's delivery report from :meth:`Network.send`."""
+        if error is not None:
+            self.owner._pending.pop(self.request.msg_id, None)
+            self.fail(RequestFailed(f"server unreachable for {self.request.url}"))
+        elif self.early is not None:
+            self.succeed(self.early)
+        else:
+            self.timer = self.sim.call_later(self.owner.reply_timeout, self._expire)
+
+    def _expire(self) -> None:
+        self.owner._pending.pop(self.request.msg_id, None)
+        self.fail(RequestFailed(f"no reply for {self.request.url} within timeout"))
 
 
 @dataclass(frozen=True)
@@ -104,7 +186,8 @@ class ProxyCache:
         meter: optional :class:`repro.metering.HitMeter` — when present,
             unvalidated cache serves are counted and piggybacked on the
             next upstream request for the URL (Section 7 hit metering).
-        reply_timeout: seconds before an unanswered request fails.
+        reply_timeout: seconds after a request's delivery before an
+            unanswered request fails.
 
     Two chaos hooks, both inert by default: :attr:`observer` (an object
     with ``on_serve(proxy, entry, outcome)``, called after every cached
@@ -126,7 +209,7 @@ class ProxyCache:
         costs: ProxyCosts = ProxyCosts(),
         oracle: Optional[Callable[[str], float]] = None,
         meter=None,
-        reply_timeout: float = 30.0,
+        reply_timeout: float = REPLY_TIMEOUT,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -138,9 +221,7 @@ class ProxyCache:
         self.costs = costs
         self.oracle = oracle
         self.meter = meter
-        self.reply_timeout = reply_timeout
-
-        self._pending: Dict[int, Event] = {}
+        self._replies = ReplyRendezvous(network, reply_timeout)
         #: INVALIDATEs that arrived before the copy they target (the
         #: fetch reply was still in flight).  The eventual insert is
         #: marked questionable so it revalidates before first reuse —
@@ -161,6 +242,11 @@ class ProxyCache:
         self.observer = None
         self.clock_skew = 0.0
         network.register(address, self._receive)
+
+    @property
+    def reply_timeout(self) -> float:
+        """Seconds after a request's delivery before it fails unanswered."""
+        return self._replies.reply_timeout
 
     def publish_metrics(self, registry, **labels) -> None:
         """Publish this proxy's counters into a metrics registry.
@@ -203,9 +289,7 @@ class ProxyCache:
                 # our last contact; drop every client's copy of each.
                 for url in message.piggyback_invalidations:
                     self.piggyback_copies_removed += self.cache.remove_url(url)
-            waiter = self._pending.pop(message.reply_to, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(message)
+            self._replies.receive(message)
         elif isinstance(message, Invalidate):
             self._handle_invalidate(message)
 
@@ -399,7 +483,7 @@ class ProxyCache:
         if self.meter is not None:
             request.reported_hits = self.meter.take(url)
         outcome.fetched = True
-        response = yield from self._roundtrip(request)
+        response = yield self._replies.send(request)
         self._insert_from_response(response, client_id)
         yield self.sim.sleep(self.costs.cpu_insert)
         outcome.status = response.status
@@ -419,7 +503,7 @@ class ProxyCache:
         if self.meter is not None:
             request.reported_hits = self.meter.take(entry.url)
         outcome.validated = True
-        response = yield from self._roundtrip(request)
+        response = yield self._replies.send(request)
         outcome.status = response.status
         if response.status == NOT_MODIFIED:
             entry.questionable = False
@@ -460,25 +544,6 @@ class ProxyCache:
         self.policy.on_fill(entry, response, self.sim.now)
         self.cache.put(entry, self.sim.now)
 
-    def _roundtrip(self, request: HttpRequest):
-        """Send a request, wait for the matching reply (or fail)."""
-        sim = self.sim
-        waiter = Event(sim)
-        self._pending[request.msg_id] = waiter
-        try:
-            yield self.network.send(request)
-        except Unreachable:
-            self._pending.pop(request.msg_id, None)
-            raise RequestFailed(f"server unreachable for {request.url}")
-        timeout = sim.timeout(self.reply_timeout)
-        result = yield AnyOf(sim, [waiter, timeout])
-        if waiter not in result:
-            self._pending.pop(request.msg_id, None)
-            raise RequestFailed(f"no reply for {request.url} within timeout")
-        if not timeout.processed:
-            timeout.cancel()  # retire the timer so it never idles the clock
-        return waiter.value
-
     # ------------------------------------------------------------------
     # crash / recovery
     # ------------------------------------------------------------------
@@ -487,7 +552,7 @@ class ProxyCache:
         """Proxy host dies; cached objects survive on disk (Harvest)."""
         self.up = False
         self.network.set_down(self.address)
-        self._pending.clear()
+        self._replies.clear()
 
     def recover(self, cold: bool = False) -> int:
         """Restart; all entries become questionable (Section 4).

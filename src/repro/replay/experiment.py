@@ -118,9 +118,9 @@ class ExperimentConfig:
         audit: attach the strong-consistency auditor
             (:class:`repro.chaos.ConsistencyAuditor`) and publish its
             verdict in ``result.chaos``.
-        fast_path: use the zero-allocation kernel fast paths (pooled
-            callback chains for cache hits, fire-and-forget network
-            sends).  Results are event-for-event identical either way —
+        fast_path: drive cache hits through the proxy's pooled
+            callback chain instead of a generator process.  Results are
+            event-for-event identical either way —
             ``tests/test_differential_fastpath.py`` proves it; the flag
             exists so that proof has a lever to pull.
         observation: optional :class:`repro.obs.Observation` receiving
@@ -314,7 +314,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # Scale *time* by the document-size scale, keep byte accounting full.
     latency_model = config.latency_model or LanModel(size_scale=config.size_scale)
-    network = Network(sim, latency=latency_model, fast_sends=config.fast_path)
+    network = Network(sim, latency=latency_model)
     scaled_server_costs = dataclasses.replace(
         config.server_costs,
         cpu_per_kb=config.server_costs.cpu_per_kb / config.size_scale,

@@ -7,6 +7,16 @@ event's value (or the event's exception is thrown into it).
 
 Processes are themselves events, so one process can wait for another simply
 by yielding it (a *join*).
+
+When termination is observed: a process that returns while something
+waits on it (a joiner or a condition), or while an
+:class:`~repro.sim.tracing.EventTracer` is attached, is enqueued at URGENT
+priority and its waiters run in that step, as for any event.  A process
+that returns with nobody waiting is marked processed on the spot: its
+termination step would run no callbacks, so it is skipped, and a later
+join consumes the return value immediately.  A process that raises is
+always enqueued, so an exception nobody handles still escapes
+:meth:`~repro.sim.core.Simulator.run` at the time it happened.
 """
 
 from __future__ import annotations
@@ -117,7 +127,11 @@ class Process(Event):
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            self.sim._enqueue(self, URGENT)
+            if self.callbacks or self.sim._tracer is not None:
+                self.sim._enqueue(self, URGENT)
+            else:
+                # Nobody waits: the termination step would run nothing.
+                self.callbacks = None
         except BaseException as exc:  # noqa: BLE001 - propagated via event
             self._ok = False
             self._value = exc

@@ -1,9 +1,9 @@
 """Differential property tests: fast path == slow path, bit for bit.
 
-The fast-path kernel (pooled ``Callback`` entries, ``wait=False`` network
-sends, the proxy's ``request_fast`` route) is a pure performance
-optimisation: with ``ExperimentConfig.fast_path=False`` every request
-flows through the original generator/Event machinery.  These tests prove
+The fast path (pooled ``Callback`` entries driving the proxy's
+``request_fast`` route) is a pure performance optimisation: with
+``ExperimentConfig.fast_path=False`` every request flows through the
+original generator/Event machinery.  These tests prove
 the two modes produce *identical* experiment results — message counts,
 hit ratios, stale serves, violations and the full latency histogram —
 for every protocol family, across randomly drawn seeds.

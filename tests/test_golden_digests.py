@@ -5,7 +5,8 @@ a refactor that changes both sides at once still passes them.  This test
 pins the sha256 of :func:`~repro.replay.serialize.result_to_dict` for a
 fixed grid of replays in ``tests/data/golden_digests.json``: EPA x0.02,
 five protocols (adaptive TTL, polling, invalidation, lease, two-tier),
-each in three modes (default, audited, 4 shards with batching).
+each in four modes (default, audited, 4 shards with batching, and
+audited under one fixed chaos schedule).
 
 A digest may change only on purpose.  After an intentional change,
 regenerate the file and say in CHANGES.md why the digests moved::
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos.faults import Fault, FaultSchedule
 from repro.core.adaptive_ttl import adaptive_ttl
 from repro.core.invalidation import invalidation
 from repro.core.leases import lease_invalidation, two_tier_lease
@@ -43,6 +45,8 @@ MODES = {
     "default": {},
     "audit": {"audit": True},
     "shards4_batched": {"shards": 4, "batch_window": 1.0, "batch_max": 32},
+    # Audited, under chaos_schedule() (built per protocol, see there).
+    "chaos": {"audit": True},
 }
 
 #: Host-clock provenance that a serialized result may carry; everything
@@ -62,17 +66,52 @@ def _trace():
     return _TRACE[0]
 
 
-def digest(case: str) -> str:
-    """sha256 of one case's serialized result, wall-clock fields removed."""
-    protocol, mode = case.split("/")
+def _run(protocol: str, mode: str, **extra):
     config = ExperimentConfig(
         trace=_trace(),
         protocol=PROTOCOLS[protocol](),
         mean_lifetime=7 * 86400.0,
         seed=11,
         **MODES[mode],
+        **extra,
     )
-    data = result_to_dict(run_experiment(config))
+    return run_experiment(config)
+
+
+def chaos_schedule(protocol: str) -> FaultSchedule:
+    """The chaos mode's faults, placed on the default run's wall time W.
+
+    A lossy server -> proxy-1 link over [0.05W, 0.4W], a server crash over
+    [0.5W, 0.55W] and a proxy-2 crash over [0.7W, 0.75W]: together they
+    exercise the connect-timeout, lost-in-flight and reply-timeout paths.
+    """
+    w = _run(protocol, "default").wall_time
+    return FaultSchedule(
+        seed=0,
+        horizon=w,
+        faults=(
+            Fault(
+                "link_fault", 0.05 * w, 0.4 * w, target="server->proxy-1",
+                params={"src": "server", "dst": "proxy-1",
+                        "drop_prob": 0.3, "rng_seed": 5},
+            ),
+            Fault("server_crash", 0.5 * w, 0.55 * w, target="server"),
+            Fault("proxy_crash", 0.7 * w, 0.75 * w, target="proxy-2"),
+        ),
+    )
+
+
+def run_case(case: str):
+    """Run one case of the grid and return its ExperimentResult."""
+    protocol, mode = case.split("/")
+    if mode == "chaos":
+        return _run(protocol, mode, fault_schedule=chaos_schedule(protocol))
+    return _run(protocol, mode)
+
+
+def digest(case: str, result=None) -> str:
+    """sha256 of one case's serialized result, wall-clock fields removed."""
+    data = result_to_dict(result if result is not None else run_case(case))
     for field in _WALL_CLOCK_FIELDS:
         data.pop(field, None)
     text = json.dumps(data, sort_keys=True)
@@ -89,7 +128,11 @@ def test_golden_file_covers_every_case():
 
 @pytest.mark.parametrize("case", CASES)
 def test_golden_digest(case):
-    assert digest(case) == _golden()[case], (
+    result = run_case(case)
+    if case.endswith("/chaos"):
+        # The faults must keep the failure paths exercised.
+        assert result.counters.failed > 0
+    assert digest(case, result) == _golden()[case], (
         f"{case}: results changed; if intended, regenerate "
         f"{GOLDEN_PATH.name} and explain why in CHANGES.md"
     )

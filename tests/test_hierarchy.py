@@ -168,3 +168,27 @@ class TestParentFailure:
         parent.crash()
         outcome = request(sim, children[0], "c1", "/a")
         assert outcome.failed
+
+    def test_lost_upstream_reply_does_not_wedge_the_url(self):
+        sim, net, fs, server, parent, children = build()
+        outcomes = {}
+
+        def browse(sim, child, client, start):
+            yield sim.timeout(start)
+            outcomes[client] = yield from child.request(client, "/a")
+
+        sim.process(browse(sim, children[0], "c1", 0.0))
+        sim.process(browse(sim, children[1], "c2", 100.0))
+        # The server dies while it handles the parent's upstream GET, so
+        # that reply is never sent.
+        sim.schedule_callback(0.01, server.crash)
+        sim.schedule_callback(1.01, server.recover)
+        sim.run()
+        assert outcomes["c1"].failed
+        # The parent gave up on the lost reply; the later miss fetches
+        # again instead of waiting on the dead fetch.
+        assert not outcomes["c2"].failed
+        assert outcomes["c2"].transfer
+        assert parent._inflight == {}
+        assert parent.upstream_fetches == 1
+        assert parent.coalesced_fetches == 0

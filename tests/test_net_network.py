@@ -1,8 +1,10 @@
 """Unit tests for the network fabric: delivery, failures, partitions."""
 
+import random
+
 import pytest
 
-from repro.net import FixedLatency, Message, Network, Unreachable
+from repro.net import FixedLatency, LinkFault, Message, Network, Unreachable
 from repro.sim import Simulator
 
 
@@ -182,3 +184,80 @@ def test_message_ids_unique():
     m1 = Message(src="a", dst="b", size=1)
     m2 = Message(src="a", dst="b", size=1)
     assert m1.msg_id != m2.msg_id
+
+
+def test_send_outcomes_under_link_fault_are_pinned():
+    """Outcome times, failure reasons and stats on a lossy, jittery link.
+
+    The expected values were recorded on the Event-per-send network and
+    pin the seeded fault RNG's draw order, the delivery times the send
+    events report, and every loss reason.
+    """
+    sim, net = make_net(latency=0.01, connect_timeout=3.0)
+    inbox = []
+    net.register("b", lambda m: inbox.append((sim.now, m.size)))
+    net.register("c", lambda m: inbox.append((sim.now, m.size)))
+    net.set_link_fault(
+        "a", "b",
+        LinkFault(drop_prob=0.3, dup_prob=0.4, extra_delay=0.05, jitter=0.2),
+        rng=random.Random(5),
+    )
+    outcomes = []
+
+    def sender(sim, i, dst):
+        try:
+            yield net.send(Message(src="a", dst=dst, size=i))
+            outcomes.append((i, sim.now, "delivered"))
+        except Unreachable as exc:
+            outcomes.append((i, sim.now, exc.reason))
+
+    for i in range(10):
+        sim.process(sender(sim, i, "b"))
+    sim.run()
+    # Messages 10-13 leave at t=3; b dies and a partition cuts a from c
+    # while they are in flight.
+    for i in range(10, 13):
+        sim.process(sender(sim, i, "b"))
+    sim.process(sender(sim, 13, "c"))
+    sim.schedule_callback(0.02, lambda: net.set_down("b"))
+    sim.schedule_callback(0.005, lambda: net.partition({"a"}, {"c"}))
+    sim.run()
+
+    assert outcomes == [
+        (4, 0.08264119293062888, "delivered"),
+        (6, 0.17478823758562018, "delivered"),
+        (1, 0.20797971494798614, "delivered"),
+        (0, 0.20835739785214588, "delivered"),
+        (8, 0.21314509032582835, "delivered"),
+        (3, 0.24867134339966274, "delivered"),
+        (2, 3.0, "link fault"),
+        (5, 3.0, "link fault"),
+        (7, 3.0, "link fault"),
+        (9, 3.0, "link fault"),
+        (13, 3.01, "lost in flight"),
+        (10, 3.085339846510054, "lost in flight"),
+        (11, 6.0, "link fault"),
+        (12, 6.0, "link fault"),
+    ]
+    # Jitter delivers 6's duplicate before 6 itself.
+    assert inbox == [
+        (0.08264119293062888, 4),
+        (0.10334596009276964, 6),
+        (0.17478823758562018, 6),
+        (0.20797971494798614, 1),
+        (0.20835739785214588, 0),
+        (0.21314509032582835, 8),
+        (0.21942939828624092, 8),
+        (0.24867134339966274, 3),
+    ]
+    stats = net.stats
+    assert stats.messages_sent == 14
+    assert stats.total_messages == 6
+    assert stats.duplicates_delivered == 2
+    assert stats.total_dropped == 8
+    assert stats.messages_lost == 8
+    assert stats.lost_by_reason() == {
+        "link fault": 6,
+        "partition formed in flight": 1,
+        "destination died in flight": 1,
+    }

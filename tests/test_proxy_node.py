@@ -1,5 +1,6 @@
 """Integration tests for the ProxyCache node with real protocols."""
 
+import random
 
 from repro.core import (
     adaptive_ttl,
@@ -8,8 +9,8 @@ from repro.core import (
     poll_every_time,
     two_tier_lease,
 )
-from repro.net import FixedLatency, Network
-from repro.proxy import Cache, ProxyCache
+from repro.net import FixedLatency, LinkFault, Network
+from repro.proxy import Cache, ProxyCache, ProxyCosts
 from repro.server import FileStore, ServerSite
 from repro.sim import Simulator
 
@@ -34,13 +35,19 @@ def build(protocol, docs=None, cache_bytes=None, latency=0.001):
     return sim, net, fs, server, proxy
 
 
-def run_request(sim, proxy, client, url):
+def start_request(sim, proxy, client, url):
+    """Start one request; the returned dict gets ``"outcome"`` when done."""
     holder = {}
 
     def driver(sim):
         holder["outcome"] = yield from proxy.request(client, url)
 
     sim.process(driver(sim))
+    return holder
+
+
+def run_request(sim, proxy, client, url):
+    holder = start_request(sim, proxy, client, url)
     sim.run()
     return holder["outcome"]
 
@@ -223,6 +230,11 @@ class TestLeases:
 
 
 class TestFailures:
+    # A request issued at t=0 leaves after the lookup delay and reaches
+    # the server one FixedLatency later.
+    SENT = ProxyCosts().cpu_lookup
+    DELIVERED = SENT + 0.001
+
     def test_server_down_request_fails(self):
         sim, net, fs, server, proxy = build(poll_every_time())
         server.crash()
@@ -256,3 +268,82 @@ class TestFailures:
         assert not outcome.stale_served
         outcome = run_request(sim, proxy, "c1", "/b")
         assert outcome.validated and outcome.status == 304
+
+    # -- round-trip failure timing --
+
+    def test_server_down_fails_at_connect_timeout(self):
+        sim, net, fs, server, proxy = build(poll_every_time())
+        server.crash()
+        outcome = run_request(sim, proxy, "c1", "/a")
+        assert outcome.failed
+        assert outcome.finished == self.SENT + net.connect_timeout
+
+    def test_lost_reply_fails_at_reply_timeout(self):
+        sim, net, fs, server, proxy = build(poll_every_time())
+        holder = start_request(sim, proxy, "c1", "/a")
+        # The server dies while it handles the request: its reply is
+        # never sent.
+        sim.schedule_callback(self.DELIVERED + 0.0001, server.crash)
+        sim.run()
+        outcome = holder["outcome"]
+        assert server.requests_handled == 1
+        assert net.stats.messages("reply-200") == 0
+        assert outcome.failed and not outcome.transfer
+        assert outcome.finished == self.DELIVERED + proxy.reply_timeout
+
+    def test_reply_after_timeout_is_ignored(self):
+        sim, net, fs, server, proxy = build(poll_every_time())
+        net.set_link_fault("server", "proxy-0", LinkFault(extra_delay=40.0))
+        holder = start_request(sim, proxy, "c1", "/a")
+        sim.run()
+        outcome = holder["outcome"]
+        # The reply landed 10 s after the request had failed...
+        assert net.stats.total_dropped == 0
+        assert net.stats.messages("reply-200") == 1
+        assert sim.now > self.DELIVERED + 40.0
+        # ...and changed nothing.
+        assert outcome.failed and not outcome.transfer
+        assert outcome.finished == self.DELIVERED + proxy.reply_timeout
+        assert proxy.failed_requests == 1
+        assert len(proxy.cache) == 0
+
+    def test_proxy_crash_fails_request_at_reply_timer(self):
+        sim, net, fs, server, proxy = build(poll_every_time())
+        holder = start_request(sim, proxy, "c1", "/a")
+        # The proxy crashes and restarts while the server works on the
+        # request, so the reply reaches a live proxy that has forgotten
+        # the request.
+        sim.schedule_callback(self.DELIVERED + 0.0001, proxy.crash)
+        sim.schedule_callback(self.DELIVERED + 0.0002, proxy.recover)
+        sim.run()
+        outcome = holder["outcome"]
+        assert net.stats.messages("reply-200") == 1
+        assert net.stats.total_dropped == 0
+        assert outcome.failed and not outcome.transfer
+        assert outcome.finished == self.DELIVERED + proxy.reply_timeout
+        assert len(proxy.cache) == 0
+
+    def test_reply_to_overtaking_duplicate_waits_for_the_request(self):
+        sim, net, fs, server, proxy = build(poll_every_time())
+        # Every request is duplicated; with this seed the duplicate lands
+        # first and its reply is back before the request itself arrives.
+        net.set_link_fault(
+            "proxy-0", "server", LinkFault(dup_prob=1.0, jitter=0.5),
+            rng=random.Random(0),
+        )
+        holder = start_request(sim, proxy, "c1", "/a")
+        sim.run()
+        outcome = holder["outcome"]
+        assert net.stats.messages("reply-200") == 2
+        assert outcome.transfer and not outcome.failed
+        # The request completes after its own delivery (value recorded
+        # before the reply rendezvous existed), not at the early reply.
+        assert outcome.finished == 0.4250109257625241
+
+    def test_success_leaves_no_live_timer(self):
+        sim, net, fs, server, proxy = build(poll_every_time())
+        outcome = run_request(sim, proxy, "c1", "/a")
+        assert outcome.transfer
+        # The run ends with the request, not when a reply timer expires.
+        assert sim.now == outcome.finished < 1.0
+        assert sim.peek() == float("inf")

@@ -5,6 +5,7 @@ import pytest
 from repro.sim import (
     AllOf,
     AnyOf,
+    EventTracer,
     Interrupt,
     SimulationError,
     Simulator,
@@ -84,6 +85,67 @@ def test_unjoined_process_exception_escapes_run():
     sim.process(proc(sim))
     with pytest.raises(KeyError):
         sim.run()
+
+
+def test_unjoined_process_failure_stops_run_when_it_happens():
+    sim = Simulator()
+    sim.timeout(10.0)
+
+    def proc(sim):
+        yield sim.timeout(2.0)
+        raise KeyError("oops")
+
+    sim.process(proc(sim))
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.now == 2.0
+
+
+def test_process_joined_after_it_returned_resumes_with_value():
+    sim = Simulator()
+    log = []
+
+    def child(sim):
+        yield sim.timeout(1.0)
+        return "done"
+
+    def late_joiner(sim, proc):
+        yield sim.timeout(5.0)
+        value = yield proc
+        log.append((sim.now, value))
+
+    proc = sim.process(child(sim))
+    sim.process(late_joiner(sim, proc))
+    sim.run()
+    assert log == [(5.0, "done")]
+    assert proc.processed and proc.value == "done"
+    # Conditions over a finished process see its value too.
+    either = AnyOf(sim, [proc])
+    both = AllOf(sim, [proc, sim.timeout(1.0, value="tick")])
+    sim.run()
+    assert either.ok and either.value[proc] == "done"
+    assert both.ok and both.value[proc] == "done"
+
+
+def test_tracer_counts_every_process_termination():
+    sim = Simulator()
+    tracer = EventTracer(sim)
+
+    def quick(sim, delay):
+        yield sim.timeout(delay)
+        return delay
+
+    def joiner(sim, proc):
+        value = yield proc
+        return value
+
+    procs = [sim.process(quick(sim, float(i))) for i in range(4)]
+    sim.process(joiner(sim, procs[0]))
+    sim.run()
+    # Four unjoined children plus the joiner itself: every termination is
+    # a processed Process event while a tracer watches.
+    assert tracer.counts["Process"] == 5
+    assert all(p.processed for p in procs)
 
 
 def test_yield_non_event_is_error():
