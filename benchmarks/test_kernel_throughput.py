@@ -6,7 +6,7 @@ second figure bounds the whole suite's runtime.  These run with real
 statistical rounds (unlike the one-shot replay benchmarks).
 """
 
-from repro.sim import AllOf, FcfsResource, Resource, Simulator, Store
+from repro.sim import AllOf, FcfsResource, Lock, Resource, Simulator, Store
 
 
 def test_timeout_event_throughput(benchmark):
@@ -78,7 +78,7 @@ def test_resource_contention_throughput(benchmark):
 
 def test_fcfs_hold_throughput(benchmark):
     """Busy-until holds on a capacity-1 server: the same worker loop as
-    above, one pooled sleep per hold instead of a grant and a sleep."""
+    above, one direct wake per hold instead of a grant and a sleep."""
 
     def run():
         sim = Simulator()
@@ -88,6 +88,30 @@ def test_fcfs_hold_throughput(benchmark):
         def worker(sim):
             for _ in range(50):
                 yield cpu.hold(0.001)
+            done[0] += 1
+
+        for _ in range(40):
+            sim.process(worker(sim))
+        sim.run()
+        return done[0]
+
+    assert benchmark(run) == 40
+
+
+def test_lock_contention_throughput(benchmark):
+    """FIFO lock acquire/hold/release under contention (the accept lock):
+    each grant and each hold is one direct wake of the worker."""
+
+    def run():
+        sim = Simulator()
+        lock = Lock(sim)
+        done = [0]
+
+        def worker(sim):
+            for _ in range(50):
+                yield lock.acquire()
+                yield sim.sleep(0.001)
+                lock.release()
             done[0] += 1
 
         for _ in range(40):
@@ -167,7 +191,7 @@ def test_bucketed_timeout_storm_throughput(benchmark):
 
 
 def test_sleep_pool_throughput(benchmark):
-    """Pooled one-shot timers: one process sleeping in a tight loop."""
+    """Direct wakes: one process sleeping in a tight loop."""
 
     def run():
         sim = Simulator()

@@ -234,9 +234,9 @@ class AcceleratorShard(ServerSite):
         grouped = tuple((url, tuple(cids)) for url, cids in by_url.items())
         total = sum(len(cids) for _url, cids in grouped)
 
-        hold = self.accept_lock.request() if self.accel.blocking_send else None
-        if hold is not None:
-            yield hold
+        blocking = self.accel.blocking_send
+        if blocking:
+            yield self.accept_lock.acquire()
         try:
             # One CPU charge per batch — the point of coalescing.
             yield self.cpu.hold(self.costs.cpu_invalidate_msg)
@@ -257,8 +257,8 @@ class AcceleratorShard(ServerSite):
                     for cid in cids:
                         self._pending_inval.pop((url, cid), None)
         finally:
-            if hold is not None:
-                self.accept_lock.release(hold)
+            if blocking:
+                self.accept_lock.release()
         self.invalidation_times.append(sim.now - opened)
         if self.fanout_listener is not None:
             self.fanout_listener(grouped[0][0], opened, sim.now, total)

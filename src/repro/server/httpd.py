@@ -36,7 +36,7 @@ from ..http import (
 from ..http.wire import DEFAULT_WIRE, WireCosts
 from ..metering import UsageLedger
 from ..net import DeliveryFailed, Message, Network, ReliableChannel
-from ..sim import FcfsResource, Resource, Simulator
+from ..sim import FcfsResource, Lock, Simulator
 from .accelerator import AcceleratorConfig
 from .costs import DEFAULT_SERVER_COSTS, ServerCosts
 from .filestore import FileStore
@@ -71,7 +71,7 @@ class ServerSite:
         self.disk = FcfsResource(sim)
         #: The accept loop: requests acquire it briefly to be admitted; a
         #: blocking invalidation send holds it for the whole fan-out.
-        self.accept_lock = Resource(sim, capacity=1)
+        self.accept_lock = Lock(sim)
 
         self.table = InvalidationTable()
         self.known_sites = KnownSitesLog()
@@ -155,9 +155,9 @@ class ServerSite:
 
         # Admission: the accept loop is a choke point shared with blocking
         # invalidation sends.
-        with self.accept_lock.request() as admit:
-            yield admit
-            yield self.cpu.hold(costs.cpu_accept)
+        yield self.accept_lock.acquire()
+        yield self.cpu.hold(costs.cpu_accept)
+        self.accept_lock.release()
 
         # Parse + accelerator bookkeeping.
         cost = costs.cpu_parse
@@ -349,9 +349,9 @@ class ServerSite:
         """
         sim = self.sim
         started = sim.now
-        hold = self.accept_lock.request() if self.accel.blocking_send else None
-        if hold is not None:
-            yield hold
+        blocking = self.accel.blocking_send
+        if blocking:
+            yield self.accept_lock.acquire()
         try:
             if self.accel.multicast:
                 by_proxy: Dict[str, List[str]] = {}
@@ -387,8 +387,8 @@ class ServerSite:
                     self.table.clear_after_invalidation(url, [entry.client_id])
                     self._pending_inval.pop((url, entry.client_id), None)
         finally:
-            if hold is not None:
-                self.accept_lock.release(hold)
+            if blocking:
+                self.accept_lock.release()
         self.invalidation_times.append(sim.now - started)
         if self.fanout_listener is not None:
             self.fanout_listener(url, started, sim.now, len(entries))

@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Interrupt, Resource, Store, RngRegistry
+    from repro.sim import Simulator, Interrupt, Lock, Resource, Store, RngRegistry
 
     sim = Simulator()
 
@@ -25,7 +25,7 @@ from .core import (
     Timeout,
 )
 from .process import AllOf, AnyOf, ConditionValue, Process
-from .resources import FcfsResource, Request, Resource, Store
+from .resources import FcfsResource, Lock, Request, Resource, Store
 from .rng import RngRegistry
 from .tracing import EventTracer
 
@@ -42,6 +42,7 @@ __all__ = [
     "AnyOf",
     "ConditionValue",
     "FcfsResource",
+    "Lock",
     "Resource",
     "Request",
     "Store",

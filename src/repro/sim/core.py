@@ -29,14 +29,21 @@ Allocation avoidance on the hot path:
 * :meth:`Simulator.call_later` schedules a plain function through a pooled
   :class:`Callback` entry — no :class:`Event`, no callbacks list, no
   generator resumption.
-* :meth:`Simulator.sleep` returns a pooled one-shot timeout for the
-  ubiquitous ``yield sim.sleep(delta)`` pattern; the event object is
-  recycled as soon as its callbacks have run.  :meth:`Simulator.sleep_until`
-  is the same at an absolute time (the busy-until servers' completions).
+* *Direct wakes*: every process owns one :class:`Wake` queue entry.
+  :meth:`Simulator.sleep`, :meth:`Simulator.sleep_until` (the busy-until
+  servers' completions), the process start and
+  :class:`~repro.sim.resources.Lock` grants enqueue that entry at the
+  ``(time, priority, seq)`` key their event would have had and hand it
+  to the process to yield; popping it resumes the generator with no
+  event object, callbacks list or bound method.  A wake whose ``seq`` no
+  longer matches the popped entry (its process was interrupted) resumes
+  nobody, but still advances the clock, as any orphaned timer does.
 
-Both fall back to real :class:`Timeout` events while an
+Both fall back to real events (a :class:`Timeout`, the start
+:class:`Event`, a lock's ``Request``) while an
 :class:`~repro.sim.tracing.EventTracer` is attached, so traced runs keep
-seeing the event kinds they always did.
+seeing the event kinds they always did; a sleep outside a process is a
+:class:`Timeout` too.
 
 Cancelled entries are discarded lazily when they surface, and the queue is
 compacted outright once cancelled entries outnumber live ones (mirroring
@@ -53,6 +60,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Callback",
+    "Wake",
     "Simulator",
     "SimulationError",
     "Interrupt",
@@ -206,20 +214,16 @@ class Event:
     # -- composition ------------------------------------------------------
 
     def __and__(self, other: "Event") -> "Condition":
-        from .process import AllOf  # local import to avoid a cycle
-
         return AllOf(self.sim, [self, other])
 
     def __or__(self, other: "Event") -> "Condition":
-        from .process import AnyOf
-
         return AnyOf(self.sim, [self, other])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
 
 
-# Imported late by __and__/__or__; re-exported for type checkers.
+# The return annotation of __and__/__or__ (AllOf/AnyOf are Events).
 Condition = Event
 
 
@@ -241,15 +245,35 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r}>"
 
 
-class _Sleep(Event):
-    """A pooled one-shot timeout (see :meth:`Simulator.sleep`).
+#: ``Wake.seq`` of a process queued on a lock, with no entry scheduled.
+PARKED = -1
 
-    Recycled by the event loop right after its callbacks run, so the
-    object must never be stored, composed (``AnyOf``/``AllOf``) or
-    cancelled — only yielded immediately by the scheduling process.
+
+class Wake:
+    """A process's own queue entry: resuming it needs no event object.
+
+    Each :class:`~repro.sim.process.Process` owns exactly one.  A wake is
+    *armed* by scheduling it (``seq`` is then the sequence number of its
+    one live queue entry) or by parking it on a lock's FIFO (``seq`` is
+    :data:`PARKED` and ``queue`` is that FIFO); the process then yields
+    it, and only its own process may.  A process arms at most one wake
+    before yielding it, and yields nothing else while one is armed.
     """
 
-    __slots__ = ()
+    __slots__ = ("process", "seq", "queue")
+
+    #: Never cancelled: an orphaned wake is retired by ``seq`` instead.
+    _cancelled = False
+
+    def __init__(self, process) -> None:
+        self.process = process
+        #: Sequence number of the live entry, PARKED, or 0 when unarmed.
+        self.seq = 0
+        #: The FIFO this wake is parked in, if any.
+        self.queue = None
+
+    def __repr__(self) -> str:
+        return f"<Wake of {self.process!r}>"
 
 
 class Callback:
@@ -352,9 +376,8 @@ class Simulator:
         #: Cancelled entries still occupying queue slots.
         self._cancelled_queued = 0
 
-        # -- free lists --
+        # -- free list --
         self._cb_pool: List[Callback] = []
-        self._sleep_pool: List[_Sleep] = []
 
     # -- inspection -------------------------------------------------------
 
@@ -388,87 +411,57 @@ class Simulator:
         """Create a :class:`Timeout` triggering ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: float) -> Event:
-        """Pooled one-shot timeout for ``yield sim.sleep(delta)``.
+    def sleep(self, delay: float) -> Any:
+        """Wake token for ``yield sim.sleep(delta)``.
 
-        Identical queue behaviour to ``sim.timeout(delay)`` (one entry,
-        same priority, same insertion order) but the event object comes
-        from a free list and is recycled as soon as it is processed.  The
-        returned event must be yielded immediately and never stored,
-        composed or cancelled.  Falls back to a real :class:`Timeout`
-        while a tracer is attached.
+        Same queue behaviour as ``sim.timeout(delay)`` (one entry, same
+        priority, same insertion order), but called from a running
+        process it enqueues that process's own :class:`Wake` instead of
+        an event.  The token must be yielded immediately and never
+        stored, composed or cancelled.  Outside a process, or while a
+        tracer is attached, it is a real :class:`Timeout`.
         """
-        if self._tracer is not None:
-            return Timeout(self, delay)
         if delay < 0:
             raise ValueError(f"negative sleep delay {delay!r}")
-        pool = self._sleep_pool
-        event = pool.pop() if pool else _Sleep(self)
-        event._ok = True
-        event._value = None
-        self._enqueue(event, NORMAL, delay)
-        return event
+        return self.sleep_until(self._now + delay)
 
-    def sleep_until(self, when: float) -> Event:
-        """Pooled one-shot timeout firing at the absolute time ``when``.
+    def sleep_until(self, when: float) -> Any:
+        """Wake token firing at the absolute time ``when``.
 
-        The absolute-time twin of :meth:`sleep`, with the same contract
-        (yield immediately; never store, compose or cancel).  Callers that
-        compute an end time by arithmetic (see
+        The absolute-time twin of :meth:`sleep`, with the same contract.
+        Callers that compute an end time by arithmetic (see
         :class:`~repro.sim.resources.FcfsResource`) schedule it exactly,
-        without the rounding of ``now + (when - now)``.  Falls back to a
-        real :class:`Timeout` at the same time while a tracer is attached.
+        without the rounding of ``now + (when - now)``.  The fallback
+        :class:`Timeout` is enqueued at ``when`` too.
         """
         if when < self._now:
             raise ValueError(
                 f"sleep_until({when!r}) is in the past (now={self._now!r})"
             )
-        if self._tracer is not None:
-            # A real Timeout for the tracer, enqueued at ``when`` below
-            # rather than through Timeout(delay) and its ``now + delay``.
+        process = self._active_process
+        if process is None or self._tracer is not None:
             event = Timeout.__new__(Timeout)
             Event.__init__(event, self)
             event.delay = when - self._now
             event._value = None
-        else:
-            pool = self._sleep_pool
-            event = pool.pop() if pool else _Sleep(self)
-            event._ok = True
-            event._value = None
-        # Hot path: _enqueue inlined, at an absolute time.
-        self._seq += 1
-        entry = (when, NORMAL, self._seq, event)
-        if when < self._cur_limit:
-            heappush(self._cur_heap, entry)
-        else:
-            bucket = int(when * self._inv_width)
-            if bucket < self._cur_idx + self._nbuckets:
-                lst = self._buckets.get(bucket)
-                if lst is None:
-                    self._buckets[bucket] = [entry]
-                else:
-                    lst.append(entry)
-            else:
-                heappush(self._far, entry)
-        self._depth += 1
-        return event
+            self._schedule_at(event, when, NORMAL)
+            return event
+        wake = process._wake
+        if wake.seq:
+            raise SimulationError(f"{process!r} slept twice before one yield")
+        wake.seq = self._schedule_at(wake, when, NORMAL)
+        return wake
 
     def process(self, generator) -> "Process":
         """Start a new generator :class:`Process`."""
-        from .process import Process
-
         return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """Event that triggers when all ``events`` have succeeded."""
-        from .process import AllOf
-
         return AllOf(self, list(events))
 
     def any_of(self, events: Iterable[Event]) -> Event:
         """Event that triggers when any of ``events`` triggers."""
-        from .process import AnyOf
-
         return AnyOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------
@@ -490,15 +483,20 @@ class Simulator:
 
     def _enqueue(self, event: Event, priority: int, delay: float = 0.0) -> None:
         """Put a triggered event on the queue, ``delay`` seconds from now."""
-        # Hot path: _schedule inlined (every trigger/timeout lands here).
-        # The dominant schedule-at-now+δ case is one compare + heappush.
+        self._schedule_at(event, self._now + delay, priority)
+
+    def _schedule_at(self, obj: Any, when: float, priority: int) -> int:
+        """Enqueue ``obj`` at the absolute time ``when``; return its seq."""
+        # Hot path: _schedule inlined (every event, callback and wake
+        # lands here).  The dominant schedule-at-now+δ case is one
+        # compare + heappush.
         self._seq += 1
-        t = self._now + delay
-        entry = (t, priority, self._seq, event)
-        if t < self._cur_limit:
+        seq = self._seq
+        entry = (when, priority, seq, obj)
+        if when < self._cur_limit:
             heappush(self._cur_heap, entry)
         else:
-            bucket = int(t * self._inv_width)
+            bucket = int(when * self._inv_width)
             if bucket < self._cur_idx + self._nbuckets:
                 lst = self._buckets.get(bucket)
                 if lst is None:
@@ -508,6 +506,7 @@ class Simulator:
             else:
                 heappush(self._far, entry)
         self._depth += 1
+        return seq
 
     def call_later(self, delay: float, fn: Callable[..., None], *args) -> Any:
         """Schedule ``fn(*args)`` after ``delay`` seconds — the fast path.
@@ -533,23 +532,7 @@ class Simulator:
             cb = Callback(self)
         cb.fn = fn
         cb.args = args
-        # Hot path: _schedule inlined (mirrors _enqueue).
-        self._seq += 1
-        t = self._now + delay
-        entry = (t, NORMAL, self._seq, cb)
-        if t < self._cur_limit:
-            heappush(self._cur_heap, entry)
-        else:
-            bucket = int(t * self._inv_width)
-            if bucket < self._cur_idx + self._nbuckets:
-                lst = self._buckets.get(bucket)
-                if lst is None:
-                    self._buckets[bucket] = [entry]
-                else:
-                    lst.append(entry)
-            else:
-                heappush(self._far, entry)
-        self._depth += 1
+        self._schedule_at(cb, self._now + delay, NORMAL)
         return cb
 
     def schedule_callback(self, delay: float, callback: Callable[[], None]) -> Any:
@@ -695,8 +678,19 @@ class Simulator:
         entry = self._pop_live()
         self._now = entry[0]
         event = entry[3]
+        kind = type(event)
 
-        if type(event) is Callback:
+        if kind is Wake:
+            # Direct wake: resume the owning process, unless it was
+            # orphaned (interrupted or terminated) since it was armed.
+            if self._tracer is not None:
+                self._tracer.observe(self._now, event)
+            if event.seq == entry[2]:
+                event.seq = 0
+                event.process._drive(True, None)
+            return
+
+        if kind is Callback:
             # Direct-callback fast path: no Event machinery at all.
             fn = event.fn
             args = event.args
@@ -718,15 +712,6 @@ class Simulator:
             if isinstance(exc, BaseException):
                 raise exc
             raise SimulationError(f"event failed with non-exception {exc!r}")
-
-        if type(event) is _Sleep and len(self._sleep_pool) < _POOL_LIMIT:
-            # The waiter has been resumed; the pooled timer is dead weight.
-            event._value = _PENDING
-            event._ok = True
-            event._defused = False
-            event._cancelled = False
-            event.callbacks = []
-            self._sleep_pool.append(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue is exhausted or ``until`` is reached.
@@ -760,3 +745,8 @@ class Simulator:
     def stop(self) -> None:
         """Stop :meth:`run` from inside a callback or process."""
         raise StopSimulation()
+
+
+# Imported last, once: process.py builds on the classes above, and a
+# function-level import would cost a module lookup per process start.
+from .process import AllOf, AnyOf, Process  # noqa: E402

@@ -8,6 +8,15 @@ event's value (or the event's exception is thrown into it).
 Processes are themselves events, so one process can wait for another simply
 by yielding it (a *join*).
 
+A process can also be resumed by its own :class:`~repro.sim.core.Wake`
+queue entry, with no event at all: its start, ``sim.sleep``/
+``sim.sleep_until`` and :class:`~repro.sim.resources.Lock` grants work
+that way (see :mod:`repro.sim.core`).  Event callbacks and wakes drive
+the generator through the same loop, :meth:`Process._drive`.  An
+interrupt orphans a pending wake; a terminating process orphans it too
+and drops the wake's back-reference, so a finished process is freed by
+reference counting rather than by the cycle collector.
+
 When termination is observed: a process that returns while something
 waits on it (a joiner or a condition), or while an
 :class:`~repro.sim.tracing.EventTracer` is attached, is enqueued at URGENT
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
-from .core import Event, Interrupt, SimulationError, Simulator, URGENT
+from .core import URGENT, Event, Interrupt, SimulationError, Simulator, Wake
 
 __all__ = ["Process", "AllOf", "AnyOf", "ConditionValue"]
 
@@ -50,22 +59,26 @@ class Process(Event):
     with the exception that escaped the generator.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target", "_wake")
 
     def __init__(self, sim: Simulator, generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self._generator = generator
-        #: The event this process is currently waiting on.
-        self._target: Optional[Event] = None
-        # Kick the process off via an initial event so that construction
-        # order does not matter within a time step.
-        start = Event(sim)
-        start._ok = True
-        start._value = None
-        start.callbacks.append(self._resume)
-        sim._enqueue(start, URGENT)
+        #: The event (or this process's wake) it is currently waiting on.
+        self._target: Optional[Any] = None
+        self._wake = wake = Wake(self)
+        # Start at URGENT priority so that construction order does not
+        # matter within a time step.
+        if sim._tracer is None:
+            wake.seq = sim._schedule_at(wake, sim._now, URGENT)
+        else:
+            start = Event(sim)
+            start._ok = True
+            start._value = None
+            start.callbacks.append(self._resume)
+            sim._enqueue(start, URGENT)
 
     @property
     def is_alive(self) -> bool:
@@ -73,16 +86,17 @@ class Process(Event):
         return not self.triggered
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (if any)."""
+    def target(self) -> Optional[Any]:
+        """The event (or wake token) this process is waiting on, if any."""
         return self._target
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process.
 
-        The process is detached from whatever event it was waiting on; that
-        event stays valid and may still be waited on again afterwards.
-        Interrupting a terminated process is an error.
+        The process is detached from whatever it was waiting on: an event
+        stays valid and may still be waited on again afterwards; a
+        pending wake is orphaned, and a wait in a lock's queue is
+        withdrawn.  Interrupting a terminated process is an error.
         """
         if self.triggered:
             raise SimulationError("cannot interrupt a terminated process")
@@ -91,53 +105,92 @@ class Process(Event):
     # -- engine ------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Resume the generator with ``event``'s outcome."""
+        """Event callback: resume the generator with ``event``'s outcome."""
         if self.triggered:
             # Process already finished (e.g. an interrupt raced its
             # termination); nothing to resume.
             return
         # Detach from the previous target (relevant for interrupts).
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target is self._wake:
+            self._orphan()
+        elif target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        self._target = None
+        if event._ok:
+            self._drive(True, event._value)
+        else:
+            event._defused = True
+            self._drive(False, event._value)
 
-        self.sim._active_process = self
+    def _orphan(self) -> None:
+        """Disarm the wake: a scheduled entry resumes nobody, a parked one
+        leaves its queue."""
+        wake = self._wake
+        if wake.queue is not None:
+            wake.queue.remove(wake)
+            wake.queue = None
+        wake.seq = 0
+
+    def _drive(self, ok: bool, value: Any) -> None:
+        """Send ``value`` (or throw it, if not ``ok``) into the generator
+        and run it to its next wait."""
+        sim = self.sim
+        wake = self._wake
+        generator = self._generator
+        self._target = None
+        sim._active_process = self
         try:
             while True:
-                if event._ok:
-                    next_event = self._generator.send(event._value)
+                if ok:
+                    target = generator.send(value)
                 else:
-                    event._defused = True
-                    next_event = self._generator.throw(event._value)
-
-                if not isinstance(next_event, Event):
-                    raise SimulationError(
-                        f"process yielded a non-event: {next_event!r}"
-                    )
-                if next_event.callbacks is None:
+                    target = generator.throw(value)
+                if target is wake:
+                    if not wake.seq:
+                        raise SimulationError(f"{self!r} yielded a spent wake")
+                    self._target = wake
+                    return
+                if wake.seq or not isinstance(target, Event):
+                    # A non-event, another process's wake, or an event
+                    # while this process's own wake is armed.
+                    armed = " with its wake armed" if wake.seq else ""
+                    raise SimulationError(f"{self!r} yielded {target!r}{armed}")
+                if target.callbacks is None:
                     # Already processed: consume its value immediately.
-                    event = next_event
+                    ok = target._ok
+                    value = target._value
+                    if not ok:
+                        target._defused = True
                     continue
-                next_event.callbacks.append(self._resume)
-                self._target = next_event
+                target.callbacks.append(self._resume)
+                self._target = target
                 return
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            if self.callbacks or self.sim._tracer is not None:
-                self.sim._enqueue(self, URGENT)
+            self._retire()
+            if self.callbacks or sim._tracer is not None:
+                sim._enqueue(self, URGENT)
             else:
                 # Nobody waits: the termination step would run nothing.
                 self.callbacks = None
         except BaseException as exc:  # noqa: BLE001 - propagated via event
             self._ok = False
             self._value = exc
-            self.sim._enqueue(self, URGENT)
+            self._retire()
+            sim._enqueue(self, URGENT)
         finally:
-            self.sim._active_process = None
+            sim._active_process = None
+
+    def _retire(self) -> None:
+        """On termination: orphan any armed wake and break the cycle."""
+        wake = self._wake
+        if wake.seq:
+            self._orphan()
+        wake.process = None
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", "process")

@@ -2,10 +2,12 @@
 
 * :class:`FcfsResource` — a single-unit first-come-first-served server
   kept as busy-until arithmetic.  The server's CPU and disk are these:
-  every charge is a pure delay, so a hold is one pooled sleep.
-* :class:`Resource` — a counted resource with FIFO queueing and real
-  grant/release events, for claims held across other waits (the
-  server's accept lock is held across a blocking INVALIDATE fan-out).
+  every charge is a pure delay, so a hold is one direct wake.
+* :class:`Lock` — a FIFO mutex held across other waits (the server's
+  accept lock is held across a blocking INVALIDATE fan-out); a grant
+  wakes the waiting process directly.
+* :class:`Resource` — a counted resource with FIFO queueing, real
+  grant/release events and busy-time accounting.
 * :class:`Store` — an unbounded FIFO mailbox of items with a blocking
   ``get``.
 """
@@ -15,9 +17,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
-from .core import Event, Simulator
+from .core import NORMAL, PARKED, Event, SimulationError, Simulator, Wake
 
-__all__ = ["FcfsResource", "Resource", "Request", "Store"]
+__all__ = ["FcfsResource", "Lock", "Resource", "Request", "Store"]
 
 
 class FcfsResource:
@@ -30,11 +32,12 @@ class FcfsResource:
             yield sim.sleep(d)
 
     A hold starts at ``max(now, busy_until)``, ends at ``start + d`` and
-    returns one pooled sleep firing at that absolute end time — no
-    request event, no grant, no release and one generator resumption
-    instead of two.  Work is committed the moment :meth:`hold` is
-    called, so a hold can be neither interrupted nor cancelled; use a
-    :class:`Resource` for claims that need either.
+    returns one :meth:`Simulator.sleep_until` wake at that absolute end
+    time — no request event, no grant, no release and one generator
+    resumption instead of two.  Work is committed the moment
+    :meth:`hold` is called, so a hold can be neither interrupted nor
+    cancelled; use a :class:`Lock` or :class:`Resource` for claims that
+    need either.
 
     :meth:`busy_time` matches :class:`Resource`'s accounting bit for bit:
     the durations of completed holds are summed in FIFO order, then the
@@ -50,10 +53,10 @@ class FcfsResource:
         #: ``(start, end)`` of holds not yet folded into ``_busy_time``.
         self._holds: Deque[Tuple[float, float]] = deque()
 
-    def hold(self, duration: float) -> Event:
-        """Queue ``duration`` seconds of service; yield the returned event.
+    def hold(self, duration: float) -> Any:
+        """Queue ``duration`` seconds of service; yield the returned token.
 
-        The event fires when the service completes.  Like
+        It fires when the service completes.  Like
         :meth:`Simulator.sleep`, it must be yielded immediately.
         """
         if duration < 0:
@@ -89,15 +92,16 @@ class FcfsResource:
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource`; usable as a context manager."""
+    """A pending claim on a :class:`Resource`; usable as a context manager.
+
+    Also the traced form of a :class:`Lock` grant.
+    """
 
     __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource") -> None:
+    def __init__(self, resource: Any) -> None:
         super().__init__(resource.sim)
         self.resource = resource
-        resource._queue.append(self)
-        resource._grant()
 
     def __enter__(self) -> "Request":
         return self
@@ -108,6 +112,77 @@ class Request(Event):
     def cancel(self) -> None:
         """Withdraw an un-granted request (used on interrupt)."""
         self.resource.release(self)
+
+
+class Lock:
+    """A FIFO mutual-exclusion lock whose grants wake the waiter directly.
+
+    ``yield lock.acquire()`` ... ``lock.release()``, from a running
+    process, has exactly the timing of a capacity-1 :class:`Resource`
+    claim: a grant resumes the waiter at ``(now, NORMAL)``, the key
+    ``Request.succeed()`` gets at grant time.  The grant is the process's
+    own :class:`~repro.sim.core.Wake` (a real :class:`Request` while a
+    tracer is attached), so there is no request event and no busy-time
+    accounting.  The token must be yielded immediately.  A waiter
+    interrupted while queued is withdrawn and never granted; one
+    interrupted after its grant was scheduled holds the lock.
+    """
+
+    __slots__ = ("sim", "_locked", "_waiters")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._locked = False
+        self._waiters: Deque[Wake] = deque()
+
+    @property
+    def locked(self) -> bool:
+        """True while some process holds the lock."""
+        return self._locked
+
+    def acquire(self) -> Any:
+        """Claim the lock; yield the returned token to wait for the grant."""
+        process = self.sim._active_process
+        if process is None:
+            raise SimulationError("Lock.acquire() outside a process")
+        wake = process._wake
+        if wake.seq:
+            raise SimulationError(f"{process!r} acquired with a wake pending")
+        if not self._locked:
+            self._locked = True
+            return self._grant(wake)
+        wake.seq = PARKED
+        wake.queue = self._waiters
+        self._waiters.append(wake)
+        return wake
+
+    def release(self) -> None:
+        """Release the lock (its holder calls this); grant the next waiter."""
+        if not self._locked:
+            raise SimulationError("Lock.release() of an unlocked lock")
+        if self._waiters:
+            wake = self._waiters.popleft()
+            wake.queue = None
+            self._grant(wake)
+        else:
+            self._locked = False
+
+    def _grant(self, wake: Wake) -> Any:
+        """Resume ``wake``'s process at ``(now, NORMAL)``; return the token."""
+        sim = self.sim
+        if sim._tracer is None:
+            wake.seq = sim._schedule_at(wake, sim._now, NORMAL)
+            return wake
+        request = Request(self)
+        if wake.seq == PARKED:
+            # Hand the queued waiter over to the event, as if it had
+            # yielded the event itself (so an interrupt detaches it).
+            wake.seq = 0
+            process = wake.process
+            process._target = request
+            request.callbacks.append(process._resume)
+        request.succeed()
+        return request
 
 
 class Resource:
@@ -159,7 +234,10 @@ class Resource:
 
     def request(self) -> Request:
         """Queue a claim for one unit; the returned event triggers on grant."""
-        return Request(self)
+        request = Request(self)
+        self._queue.append(request)
+        self._grant()
+        return request
 
     def release(self, request: Request) -> None:
         """Return a unit (or withdraw an un-granted request)."""

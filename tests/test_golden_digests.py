@@ -3,10 +3,12 @@
 The differential suites compare two code paths at the *same* commit, so
 a refactor that changes both sides at once still passes them.  This test
 pins the sha256 of :func:`~repro.replay.serialize.result_to_dict` for a
-fixed grid of replays in ``tests/data/golden_digests.json``: EPA x0.02,
-five protocols (adaptive TTL, polling, invalidation, lease, two-tier),
-each in four modes (default, audited, 4 shards with batching, and
-audited under one fixed chaos schedule).
+fixed grid of replays in ``tests/data/golden_digests.json``: the five
+paper traces (EPA, SDSC, ClarkNet, NASA, SASK) at x0.02, five protocols
+(adaptive TTL, polling, invalidation, lease, two-tier), each in four
+modes (default, audited, 4 shards with batching, and audited under one
+fixed chaos schedule).  EPA cases are named ``protocol/mode``; the other
+traces' cases are ``TRACE/protocol/mode``.
 
 A digest may change only on purpose.  After an intentional change,
 regenerate the file and say in CHANGES.md why the digests moved::
@@ -53,22 +55,45 @@ MODES = {
 #: else in it is deterministic simulation output.
 _WALL_CLOCK_FIELDS = ("wall_seconds", "timestamp")
 
-CASES = [f"{protocol}/{mode}" for protocol in PROTOCOLS for mode in MODES]
-
-_TRACE = []
+TRACES = ("EPA", "SDSC", "ClarkNet", "NASA", "SASK")
 
 
-def _trace():
-    if not _TRACE:
-        _TRACE.append(
-            generate_trace(profile("EPA").scaled(0.02), RngRegistry(seed=3))
+def case_name(trace: str, protocol: str, mode: str) -> str:
+    """``protocol/mode`` for EPA (the original corpus), else with the trace."""
+    if trace == "EPA":
+        return f"{protocol}/{mode}"
+    return f"{trace}/{protocol}/{mode}"
+
+
+def parse_case(case: str):
+    """Split a case name into ``(trace, protocol, mode)``."""
+    parts = case.split("/")
+    if len(parts) == 2:
+        return ("EPA", *parts)
+    return tuple(parts)
+
+
+CASES = [
+    case_name(trace, protocol, mode)
+    for trace in TRACES
+    for protocol in PROTOCOLS
+    for mode in MODES
+]
+
+_TRACES = {}
+
+
+def _trace(name: str):
+    if name not in _TRACES:
+        _TRACES[name] = generate_trace(
+            profile(name).scaled(0.02), RngRegistry(seed=3)
         )
-    return _TRACE[0]
+    return _TRACES[name]
 
 
-def _run(protocol: str, mode: str, **extra):
+def _run(trace: str, protocol: str, mode: str, **extra):
     config = ExperimentConfig(
-        trace=_trace(),
+        trace=_trace(trace),
         protocol=PROTOCOLS[protocol](),
         mean_lifetime=7 * 86400.0,
         seed=11,
@@ -78,14 +103,15 @@ def _run(protocol: str, mode: str, **extra):
     return run_experiment(config)
 
 
-def chaos_schedule(protocol: str) -> FaultSchedule:
+def chaos_schedule(trace: str, protocol: str) -> FaultSchedule:
     """The chaos mode's faults, placed on the default run's wall time W.
 
     A lossy server -> proxy-1 link over [0.05W, 0.4W], a server crash over
     [0.5W, 0.55W] and a proxy-2 crash over [0.7W, 0.75W]: together they
     exercise the connect-timeout, lost-in-flight and reply-timeout paths.
+    The placement yields failures on every trace of the grid.
     """
-    w = _run(protocol, "default").wall_time
+    w = _run(trace, protocol, "default").wall_time
     return FaultSchedule(
         seed=0,
         horizon=w,
@@ -103,10 +129,13 @@ def chaos_schedule(protocol: str) -> FaultSchedule:
 
 def run_case(case: str):
     """Run one case of the grid and return its ExperimentResult."""
-    protocol, mode = case.split("/")
+    trace, protocol, mode = parse_case(case)
     if mode == "chaos":
-        return _run(protocol, mode, fault_schedule=chaos_schedule(protocol))
-    return _run(protocol, mode)
+        return _run(
+            trace, protocol, mode,
+            fault_schedule=chaos_schedule(trace, protocol),
+        )
+    return _run(trace, protocol, mode)
 
 
 def digest(case: str, result=None) -> str:
@@ -129,7 +158,7 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("case", CASES)
 def test_golden_digest(case):
     result = run_case(case)
-    if case.endswith("/chaos"):
+    if parse_case(case)[2] == "chaos":
         # The faults must keep the failure paths exercised.
         assert result.counters.failed > 0
     assert digest(case, result) == _golden()[case], (

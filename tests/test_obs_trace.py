@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import invalidation, poll_every_time
 from repro.obs import (
-    MetricsRegistry,
     Observation,
     Span,
     SpanSink,
@@ -220,6 +219,27 @@ class TestObservationIntegration:
         assert obs.tracer is not None
         assert obs.tracer.total > 0
         assert obs.registry.total("sim_events") == obs.tracer.total
+
+    def test_deep_mode_event_kinds_are_pinned(self):
+        # A traced run sees real events where the kernel's fast paths
+        # would use callbacks or direct wakes: timeouts for sleeps and
+        # holds, start events for processes, Requests for accept-lock
+        # grants.  Those kinds and counts are part of what deep
+        # observation shows, so they are pinned.
+        obs = Observation(deep=True)
+        run_experiment(_config(_trace(), audit=True, observation=obs))
+        obs.close()
+        assert dict(obs.tracer.counts) == {
+            "AllOf": 288,
+            "Event": 1874,
+            "Process": 1874,
+            "Request": 432,
+            "Timeout": 5569,
+            "_InterruptEvent": 1,
+            "_Reply": 422,
+            "_SendOutcome": 52,
+        }
+        assert obs.tracer.total == 10512
 
     def test_observation_binds_once(self):
         trace = _trace()

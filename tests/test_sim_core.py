@@ -218,10 +218,9 @@ def test_sleep_events_are_pooled():
     sim.process(proc(sim))
     sim.run()
     assert sim.now == 3.0
-    # The process grabs its next timer while the previous one is still
-    # being stepped, so recycling shows up one sleep later: the third
-    # sleep reuses the first timer object.
-    assert seen[2] is seen[0]
+    # No allocation per sleep: every sleep of a process enqueues that
+    # process's own wake entry.
+    assert seen[0] is seen[1] is seen[2]
 
 
 def test_sleep_matches_timeout_semantics():

@@ -1,4 +1,8 @@
-"""Unit tests for generator processes, joins, interrupts, and conditions."""
+"""Unit tests for generator processes, joins, interrupts, conditions and
+direct wakes."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -6,9 +10,11 @@ from repro.sim import (
     AllOf,
     AnyOf,
     EventTracer,
+    FcfsResource,
     Interrupt,
     SimulationError,
     Simulator,
+    Timeout,
 )
 
 
@@ -364,3 +370,147 @@ def test_active_process_visible_during_resume():
     sim.run()
     assert seen == [p]
     assert sim.active_process is None
+
+
+# -- direct wakes ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("wait", ["sleep", "hold"])
+def test_interrupt_orphans_a_pending_wake(wait):
+    sim = Simulator()
+    cpu = FcfsResource(sim)
+    log = []
+
+    def victim(sim):
+        try:
+            if wait == "sleep":
+                yield sim.sleep(10.0)
+            else:
+                yield cpu.hold(10.0)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        # Re-armed: the orphaned entry at t=10 must not cut this short.
+        yield sim.sleep(20.0)
+        log.append(("slept", sim.now))
+
+    def attacker(sim, target):
+        yield sim.sleep(1.0)
+        target.interrupt()
+
+    v = sim.process(victim(sim))
+    sim.process(attacker(sim, v))
+    sim.run(until=5.0)
+    assert log == [("interrupted", 1.0)]
+    # The orphaned entry stays queued and still counts for peek().
+    assert sim.peek() == 10.0
+    sim.run(until=15.0)
+    assert log == [("interrupted", 1.0)]
+    assert sim.peek() == 21.0
+    sim.run()
+    assert log == [("interrupted", 1.0), ("slept", 21.0)]
+    assert sim.now == 21.0
+    assert not v.is_alive
+
+
+def test_orphaned_wake_still_advances_the_clock():
+    sim = Simulator()
+
+    def victim(sim):
+        try:
+            yield sim.sleep(10.0)
+        except Interrupt:
+            return
+
+    def attacker(sim, target):
+        yield sim.sleep(1.0)
+        target.interrupt()
+
+    sim.process(attacker(sim, sim.process(victim(sim))))
+    sim.run()
+    # Exactly what an abandoned timeout does: it pops at t=10, resuming
+    # nobody.
+    assert sim.now == 10.0
+    assert sim.peek() == float("inf")
+
+
+def test_yielding_another_process_wake_is_an_error():
+    sim = Simulator()
+    tokens = []
+
+    def sleeper(sim):
+        tokens.append(sim.sleep(5.0))
+        yield tokens[0]
+
+    def thief(sim):
+        yield sim.sleep(1.0)
+        yield tokens[0]
+
+    sim.process(sleeper(sim))
+    sim.process(thief(sim))
+    with pytest.raises(SimulationError, match="yielded <Wake of <Process sleeper>>"):
+        sim.run()
+
+
+def test_sleeping_twice_before_one_yield_is_an_error():
+    sim = Simulator()
+
+    def proc(sim):
+        sim.sleep(1.0)
+        yield sim.sleep(2.0)
+
+    sim.process(proc(sim))
+    with pytest.raises(SimulationError, match="slept twice"):
+        sim.run()
+
+
+def test_yielding_an_event_with_a_wake_armed_is_an_error():
+    sim = Simulator()
+
+    def proc(sim):
+        sim.sleep(1.0)
+        yield sim.timeout(2.0)
+
+    sim.process(proc(sim))
+    with pytest.raises(SimulationError, match="with its wake armed"):
+        sim.run()
+
+
+def test_yielding_a_spent_wake_is_an_error():
+    sim = Simulator()
+
+    def proc(sim):
+        token = sim.sleep(1.0)
+        yield token
+        yield token
+
+    sim.process(proc(sim))
+    with pytest.raises(SimulationError, match="spent wake"):
+        sim.run()
+
+
+def test_sleep_outside_a_process_is_a_timeout():
+    sim = Simulator()
+    assert isinstance(sim.sleep(1.0), Timeout)
+    assert isinstance(sim.sleep_until(2.0), Timeout)
+    sim.run()
+    assert sim.now == 2.0
+
+
+def test_finished_process_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        sim = Simulator()
+
+        def proc(sim):
+            yield sim.sleep(1.0)
+
+        generator = proc(sim)
+        ref = weakref.ref(generator)
+        sim.process(generator)
+        del generator
+        sim.run()
+        # Process <-> wake would be a cycle; termination breaks it, so
+        # reference counting alone frees the process and its generator.
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,10 +1,19 @@
-"""Unit tests for FcfsResource, Resource and Store."""
+"""Unit tests for FcfsResource, Lock, Resource and Store."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import EventTracer, FcfsResource, Resource, Simulator, Store
+from repro.sim import (
+    EventTracer,
+    FcfsResource,
+    Interrupt,
+    Lock,
+    Resource,
+    SimulationError,
+    Simulator,
+    Store,
+)
 
 
 def test_resource_capacity_validation():
@@ -328,3 +337,127 @@ def test_fcfs_hold_equals_resource_plus_sleep(schedule, sample_at, traced):
     assert by_hold[0] == by_resource[0]
     assert sorted(by_hold[1], key=repr) == sorted(by_resource[1], key=repr)
     assert by_hold[2] == by_resource[2]
+
+
+# -- Lock ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_interrupted_lock_waiter_is_withdrawn(traced):
+    sim = Simulator()
+    if traced:
+        EventTracer(sim)
+    lock = Lock(sim)
+    log = []
+
+    def holder(sim):
+        yield lock.acquire()
+        yield sim.sleep(5.0)
+        lock.release()
+
+    def waiter(sim, name):
+        try:
+            yield lock.acquire()
+        except Interrupt:
+            log.append((name, "interrupted", sim.now))
+            # Queue again: behind b now, not in the withdrawn place.
+            yield lock.acquire()
+        log.append((name, "granted", sim.now))
+        lock.release()
+
+    def attacker(sim, target):
+        yield sim.sleep(1.0)
+        target.interrupt()
+
+    sim.process(holder(sim))
+    a = sim.process(waiter(sim, "a"))
+    sim.process(waiter(sim, "b"))
+    sim.process(attacker(sim, a))
+    sim.run()
+    assert log == [
+        ("a", "interrupted", 1.0),
+        ("b", "granted", 5.0),
+        ("a", "granted", 5.0),
+    ]
+    assert not lock.locked
+
+
+def test_lock_misuse_is_an_error():
+    sim = Simulator()
+    lock = Lock(sim)
+    with pytest.raises(SimulationError):
+        lock.acquire()
+    with pytest.raises(SimulationError):
+        lock.release()
+
+
+# A holder's critical section: a list of waits, each a plain sleep or a
+# hold on a CPU shared with every other job (so holders block across
+# other processes' waits), with zero-length waits for same-instant ties.
+_section = st.lists(
+    st.tuples(st.sampled_from(["sleep", "cpu"]), _durations), max_size=4
+)
+
+
+def _drive_lock(schedule, traced, use_lock):
+    """Replay ``schedule`` through a Lock or a capacity-1 Resource.
+
+    Every job takes a CPU hold, claims the lock, runs its critical
+    section and releases.  Returns the log of every job's steps (grants,
+    waits, releases) in processing order, with their times.
+    """
+    sim = Simulator()
+    if traced:
+        EventTracer(sim)
+    cpu = FcfsResource(sim)
+    lock = Lock(sim) if use_lock else Resource(sim, capacity=1)
+    log = []
+
+    def section(sim, index, waits):
+        for kind, duration in waits:
+            if kind == "cpu":
+                yield cpu.hold(duration)
+            else:
+                yield sim.sleep(duration)
+            log.append((kind, index, sim.now))
+
+    def job(sim, index, accept, waits):
+        yield cpu.hold(accept)
+        log.append(("accepted", index, sim.now))
+        if use_lock:
+            yield lock.acquire()
+            log.append(("grant", index, sim.now))
+            yield from section(sim, index, waits)
+            log.append(("release", index, sim.now))
+            lock.release()
+        else:
+            with lock.request() as req:
+                yield req
+                log.append(("grant", index, sim.now))
+                yield from section(sim, index, waits)
+                log.append(("release", index, sim.now))
+        log.append(("after", index, sim.now))
+
+    def arrivals(sim):
+        for index, (gap, accept, waits) in enumerate(schedule):
+            if gap:
+                yield sim.sleep(gap)
+            sim.process(job(sim, index, accept, waits))
+
+    sim.process(arrivals(sim))
+    sim.run()
+    return log, sim.now
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    schedule=st.lists(
+        st.tuples(_gaps, _durations, _section), min_size=1, max_size=20
+    ),
+    traced=st.booleans(),
+)
+def test_lock_equals_capacity_one_resource(schedule, traced):
+    by_resource = _drive_lock(schedule, traced, use_lock=False)
+    by_lock = _drive_lock(schedule, traced, use_lock=True)
+    # Same grants, same order, same times: plain ==, never approx.
+    assert by_lock == by_resource
