@@ -6,7 +6,7 @@ second figure bounds the whole suite's runtime.  These run with real
 statistical rounds (unlike the one-shot replay benchmarks).
 """
 
-from repro.sim import AllOf, FcfsResource, Lock, Resource, Simulator, Store
+from repro.sim import AllOf, FcfsResource, Lock, Resource, Simulator
 
 
 def test_timeout_event_throughput(benchmark):
@@ -28,27 +28,31 @@ def test_timeout_event_throughput(benchmark):
 
 
 def test_process_switch_throughput(benchmark):
-    """Generator-process resume rate (ping-pong via a store)."""
+    """Generator-process resume rate (ping-pong on plain events)."""
 
     def run():
         sim = Simulator()
-        ping, pong = Store(sim), Store(sim)
+        ping, pong = [sim.event()], [sim.event()]
         rounds = 2_000
+        done = [0]
 
         def left(sim):
             for _ in range(rounds):
-                ping.put(1)
-                yield pong.get()
+                ping[0].succeed()
+                yield pong[0]
+                pong[0] = sim.event()
+                done[0] += 1
 
         def right(sim):
             for _ in range(rounds):
-                yield ping.get()
-                pong.put(1)
+                yield ping[0]
+                ping[0] = sim.event()
+                pong[0].succeed()
 
         sim.process(left(sim))
         sim.process(right(sim))
         sim.run()
-        return rounds
+        return done[0]
 
     assert benchmark(run) == 2_000
 
@@ -167,13 +171,9 @@ def test_hit_path_callback_throughput(benchmark):
     assert benchmark(run) == 5_000
 
 
-def test_bucketed_timeout_storm_throughput(benchmark):
-    """Timers landing beyond the calendar horizon (far-heap traffic).
-
-    Delays up to ~1000 s overflow the near-future window, so entries
-    migrate far heap -> calendar bucket -> current run as the clock
-    advances — the full two-level scheduler machinery.
-    """
+def test_timeout_storm_throughput(benchmark):
+    """Timers spread over ~1000 s of simulated time, scheduled up front:
+    a 10,000-entry heap drained in time order."""
 
     def run():
         sim = Simulator()

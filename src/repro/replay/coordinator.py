@@ -79,12 +79,14 @@ class TimeCoordinator:
             try:
                 # Barrier: wait for every participant's reply.
                 yield AllOf(self.sim, processes)
-            except BaseException as exc:
+            except Exception as exc:
                 # A participant raised mid-interval.  The interval did
                 # not complete: trace_time/intervals_completed stay at
                 # the last finished interval.  Defuse the surviving
                 # participants so their later completion (or failure)
                 # cannot crash the simulator with nobody waiting.
+                # GeneratorExit (closing an abandoned coordinator) and
+                # KeyboardInterrupt are not Exceptions: they pass unwrapped.
                 for process in processes:
                     process.defuse()
                 raise CoordinatorError(

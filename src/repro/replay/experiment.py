@@ -514,11 +514,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # Run until the coordinator finishes (the sampler alone would keep the
     # queue alive forever), then stop sampling and drain stragglers
     # (in-flight invalidation fan-outs, last replies).
-    while not run_process.triggered:
-        try:
-            sim.step()
-        except IndexError:
-            raise RuntimeError("replay deadlocked before completing the trace")
+    sim.run(until=run_process)
+    if not run_process.triggered:
+        raise RuntimeError("replay deadlocked before completing the trace")
     if not run_process.ok:
         raise RuntimeError(f"replay failed: {run_process.value!r}")
     iostat.stop()

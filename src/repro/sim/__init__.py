@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Interrupt, Lock, Resource, Store, RngRegistry
+    from repro.sim import Simulator, Interrupt, Lock, Resource, RngRegistry
 
     sim = Simulator()
 
@@ -25,7 +25,7 @@ from .core import (
     Timeout,
 )
 from .process import AllOf, AnyOf, ConditionValue, Process
-from .resources import FcfsResource, Lock, Request, Resource, Store
+from .resources import FcfsResource, Lock, Request, Resource
 from .rng import RngRegistry
 from .tracing import EventTracer
 
@@ -45,7 +45,6 @@ __all__ = [
     "Lock",
     "Resource",
     "Request",
-    "Store",
     "RngRegistry",
     "EventTracer",
 ]

@@ -9,20 +9,12 @@ Determinism: events scheduled for the same simulated time are processed in
 (priority, insertion-order) order, so a run is exactly reproducible given
 the same seed and the same sequence of API calls.
 
-Scheduler layout (the replay hot path schedules almost everything at
-``now + small delta``):
-
-* a *near-future calendar*: ``num_buckets`` buckets of ``bucket_width``
-  simulated seconds each.  Scheduling into a future bucket is a plain list
-  append (O(1)); a bucket is sorted once, when the clock reaches it.
-* late arrivals into the *current* bucket go to a small binary heap.
-* everything beyond the calendar horizon goes to a *far heap* and migrates
-  into the calendar when the horizon advances past it.
-
-All three structures hold ``(time, priority, seq, obj)`` tuples whose
-``(time, priority, seq)`` prefix is unique, so tuple comparison never
-reaches ``obj`` and the total order is identical to the single global
-heap this kernel used to run on.
+The queue is one binary heap of ``(time, priority, seq, obj)`` tuples.
+The ``(time, priority, seq)`` prefix is unique, so tuple comparison never
+reaches ``obj``.  Every way of running — :meth:`Simulator.run` to
+exhaustion, up to a time or until an event triggers, and
+:meth:`Simulator.step` — goes through one dispatch loop,
+:meth:`Simulator._loop`.
 
 Allocation avoidance on the hot path:
 
@@ -53,8 +45,8 @@ with many abandoned reply timers keep a bounded queue.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Iterable, List, Optional, Union
 
 __all__ = [
     "Event",
@@ -81,12 +73,6 @@ _PENDING = object()
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. double-trigger)."""
-
-
-class _QueueEmpty(IndexError):
-    """Internal: the event queue is exhausted (still an IndexError for
-    callers of :meth:`Simulator.step`, but distinguishable from an
-    IndexError raised by user callback code)."""
 
 
 class StopSimulation(Exception):
@@ -189,7 +175,7 @@ class Event:
         """Mark the event as handled so its failure cannot crash the loop.
 
         A failed event whose exception no waiter consumes is re-raised
-        out of :meth:`Simulator.step`.  Supervisors that learn of a
+        out of :meth:`Simulator.run`.  Supervisors that learn of a
         failure through another channel (e.g. a condition that already
         failed) call this on the remaining events they were watching so
         late failures do not take down the whole simulation.  Safe to
@@ -313,6 +299,8 @@ _POOL_LIMIT = 1024
 #: they outnumber the live entries (see Simulator._note_cancel).
 _COMPACT_MIN_CANCELLED = 64
 
+_INF = float("inf")
+
 
 class Simulator:
     """The event loop.
@@ -330,53 +318,21 @@ class Simulator:
 
     Args:
         start_time: initial simulated time.
-        bucket_width: span of one near-future calendar bucket, in
-            simulated seconds.
-        num_buckets: calendar length; times beyond
-            ``bucket_width * num_buckets`` in the future go to the far
-            heap until the horizon catches up.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        bucket_width: float = 0.5,
-        num_buckets: int = 256,
-    ) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._seq = 0
         self._active_process = None
         #: Optional EventTracer (see repro.sim.tracing).
         self._tracer = None
-
-        # -- two-level scheduler state --
-        self._width = float(bucket_width)
-        self._inv_width = 1.0 / self._width
-        self._nbuckets = num_buckets
-        #: Index of the bucket containing the clock (monotone).
-        self._cur_idx = int(self._now / self._width)
-        #: Upper time bound of the current bucket: anything scheduled
-        #: below it goes straight to the current heap (one float compare
-        #: on the hot path instead of a bucket-index computation).
-        self._cur_limit = (self._cur_idx + 1) * self._width
-        #: Sorted-descending entries of the current bucket (pop from end).
-        self._cur_run: List[tuple] = []
-        #: Heap of late arrivals into the current bucket.
-        self._cur_heap: List[tuple] = []
-        #: bucket index -> unsorted entry list, for (cur, cur + nbuckets).
-        self._buckets: dict = {}
-        #: Heap of entries beyond the calendar horizon.
-        self._far: List[tuple] = []
-        #: Total entries across all structures (including cancelled).
-        self._depth = 0
+        #: The event queue: a heap of (time, priority, seq, obj) entries.
+        #: Only ever mutated in place, so a running _loop's reference to
+        #: it stays valid across _compact.
+        self._queue: List[tuple] = []
         #: Cancelled entries still occupying queue slots.
         self._cancelled_queued = 0
-
-        # -- free list --
+        #: Free list of Callback entries.
         self._cb_pool: List[Callback] = []
 
     # -- inspection -------------------------------------------------------
@@ -394,12 +350,12 @@ class Simulator:
     @property
     def queue_depth(self) -> int:
         """Entries currently occupying queue slots (cancelled included)."""
-        return self._depth
+        return len(self._queue)
 
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``float('inf')``."""
         entry = self._peek_live()
-        return entry[0] if entry is not None else float("inf")
+        return entry[0] if entry is not None else _INF
 
     # -- event construction ------------------------------------------------
 
@@ -466,46 +422,15 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, entry: tuple) -> None:
-        """Route one queue entry into the calendar / current heap / far."""
-        bucket = int(entry[0] * self._inv_width)
-        if bucket <= self._cur_idx:
-            heappush(self._cur_heap, entry)
-        elif bucket < self._cur_idx + self._nbuckets:
-            lst = self._buckets.get(bucket)
-            if lst is None:
-                self._buckets[bucket] = [entry]
-            else:
-                lst.append(entry)
-        else:
-            heappush(self._far, entry)
-        self._depth += 1
-
     def _enqueue(self, event: Event, priority: int, delay: float = 0.0) -> None:
         """Put a triggered event on the queue, ``delay`` seconds from now."""
         self._schedule_at(event, self._now + delay, priority)
 
     def _schedule_at(self, obj: Any, when: float, priority: int) -> int:
         """Enqueue ``obj`` at the absolute time ``when``; return its seq."""
-        # Hot path: _schedule inlined (every event, callback and wake
-        # lands here).  The dominant schedule-at-now+δ case is one
-        # compare + heappush.
         self._seq += 1
         seq = self._seq
-        entry = (when, priority, seq, obj)
-        if when < self._cur_limit:
-            heappush(self._cur_heap, entry)
-        else:
-            bucket = int(when * self._inv_width)
-            if bucket < self._cur_idx + self._nbuckets:
-                lst = self._buckets.get(bucket)
-                if lst is None:
-                    self._buckets[bucket] = [entry]
-                else:
-                    lst.append(entry)
-            else:
-                heappush(self._far, entry)
-        self._depth += 1
+        heappush(self._queue, (when, priority, seq, obj))
         return seq
 
     def call_later(self, delay: float, fn: Callable[..., None], *args) -> Any:
@@ -546,78 +471,13 @@ class Simulator:
 
     # -- queue internals ---------------------------------------------------
 
-    def _advance_bucket(self) -> None:
-        """Move the calendar window to the next non-empty bucket.
-
-        Raises :class:`IndexError` when nothing is scheduled anywhere.
-        """
-        buckets = self._buckets
-        far = self._far
-        if buckets:
-            self._cur_idx = min(buckets)
-        elif far:
-            self._cur_idx = int(far[0][0] * self._inv_width)
-        else:
-            raise _QueueEmpty("pop from an empty event queue")
-        self._cur_limit = (self._cur_idx + 1) * self._width
-        # Pull far-heap entries that the new horizon now covers.
-        horizon = (self._cur_idx + self._nbuckets) * self._width
-        while far and far[0][0] < horizon:
-            entry = heappop(far)
-            self._depth -= 1  # _schedule re-counts it
-            self._schedule(entry)
-        run = buckets.pop(self._cur_idx, None)
-        if run is not None:
-            # One sort per bucket; (time, priority, seq) is unique, so the
-            # comparison never reaches the object and the order is exactly
-            # the old global-heap order.
-            run.sort(reverse=True)
-            self._cur_run = run
-
     def _peek_live(self) -> Optional[tuple]:
         """Next live entry (discarding cancelled heads), or ``None``."""
-        while True:
-            run = self._cur_run
-            cur_heap = self._cur_heap
-            while run and run[-1][3]._cancelled:
-                run.pop()
-                self._depth -= 1
-                self._cancelled_queued -= 1
-            while cur_heap and cur_heap[0][3]._cancelled:
-                heappop(cur_heap)
-                self._depth -= 1
-                self._cancelled_queued -= 1
-            if run:
-                if cur_heap and cur_heap[0] < run[-1]:
-                    return cur_heap[0]
-                return run[-1]
-            if cur_heap:
-                return cur_heap[0]
-            if not self._buckets and not self._far:
-                return None
-            self._advance_bucket()
-
-    def _pop_live(self) -> tuple:
-        """Pop the next live entry directly (hot path for :meth:`step`)."""
-        cur_heap = self._cur_heap
-        run = self._cur_run
-        while True:
-            if run:
-                if cur_heap and cur_heap[0] < run[-1]:
-                    entry = heappop(cur_heap)
-                else:
-                    entry = run.pop()
-            elif cur_heap:
-                entry = heappop(cur_heap)
-            else:
-                self._advance_bucket()
-                run = self._cur_run
-                continue
-            self._depth -= 1
-            if entry[3]._cancelled:
-                self._cancelled_queued -= 1
-                continue
-            return entry
+        queue = self._queue
+        while queue and queue[0][3]._cancelled:
+            heappop(queue)
+            self._cancelled_queued -= 1
+        return queue[0] if queue else None
 
     def _note_cancel(self) -> None:
         """Bookkeeping hook for Event/Callback.cancel: maybe compact.
@@ -630,117 +490,121 @@ class Simulator:
         self._cancelled_queued += 1
         if (
             self._cancelled_queued > _COMPACT_MIN_CANCELLED
-            and self._cancelled_queued * 2 > self._depth
+            and self._cancelled_queued * 2 > len(self._queue)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the queue structures with cancelled entries dropped."""
-        live: List[tuple] = []
-        for entry in self._cur_run:
-            if not entry[3]._cancelled:
-                live.append(entry)
-        for entry in self._cur_heap:
-            if not entry[3]._cancelled:
-                live.append(entry)
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                if not entry[3]._cancelled:
-                    live.append(entry)
-        for entry in self._far:
-            if not entry[3]._cancelled:
-                live.append(entry)
-        self._cur_run = []
-        self._cur_heap = []
-        self._buckets = {}
-        self._far = []
-        self._depth = 0
+        """Drop cancelled entries from the queue, in place."""
+        queue = self._queue
+        # Slice assignment keeps the list object a running _loop holds;
+        # entries keep their (time, priority, seq) keys, so the processing
+        # order is unchanged.
+        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+        heapify(queue)
         self._cancelled_queued = 0
-        # Entries keep their (time, priority, seq) keys, so re-routing them
-        # preserves the processing order exactly.
-        for entry in live:
-            self._schedule(entry)
-
-    def _recycle_callback(self, cb: Callback) -> None:
-        cb.fn = None
-        cb.args = ()
-        if len(self._cb_pool) < _POOL_LIMIT:
-            self._cb_pool.append(cb)
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next event.
+        """Process the single next live entry.
 
         Raises :class:`IndexError` if the queue is empty and re-raises any
         un-defused event failure.
         """
-        entry = self._pop_live()
-        self._now = entry[0]
-        event = entry[3]
-        kind = type(event)
+        if self._peek_live() is None:
+            raise IndexError("step on an empty event queue")
+        self._loop(Event(self), _INF, True)
 
-        if kind is Wake:
-            # Direct wake: resume the owning process, unless it was
-            # orphaned (interrupted or terminated) since it was armed.
-            if self._tracer is not None:
-                self._tracer.observe(self._now, event)
-            if event.seq == entry[2]:
-                event.seq = 0
-                event.process._drive(True, None)
-            return
-
-        if kind is Callback:
-            # Direct-callback fast path: no Event machinery at all.
-            fn = event.fn
-            args = event.args
-            self._recycle_callback(event)
-            if self._tracer is not None:
-                self._tracer.observe(self._now, event)
-            fn(*args)
-            return
-
-        if self._tracer is not None:
-            self._tracer.observe(self._now, event)
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(f"event failed with non-exception {exc!r}")
-
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self, until: Union[float, Event, None] = None) -> None:
         """Run until the queue is exhausted or ``until`` is reached.
 
-        If ``until`` is given, the clock is advanced exactly to ``until``
-        even when no event is scheduled at that time.
+        ``until`` may be:
+
+        * ``None``: run until the queue is empty;
+        * a time: process everything scheduled up to it, then advance the
+          clock exactly to ``until``, even when no event is scheduled then;
+        * an :class:`Event`, such as a process: run until it triggers (a
+          process triggers when it returns or raises; a :class:`Timeout`
+          has its value from creation, so it counts as triggered at
+          once).  If the queue runs dry first, this returns with the
+          event still pending; callers check ``until.triggered``.
+
+        :meth:`stop` ends any form early, leaving the clock where it is.
         """
-        if until is None:
-            # Tight loop: no peek, step() pops directly.  _QueueEmpty is
-            # private to the scheduler, so user-code IndexErrors propagate.
-            try:
-                step = self.step
-                while True:
-                    step()
-            except _QueueEmpty:
-                return
-            except StopSimulation:
-                return
-        if until < self._now:
-            raise ValueError(f"until={until!r} is in the past (now={self._now!r})")
+        horizon = _INF
+        if isinstance(until, Event):
+            stop = until
+        else:
+            # A fresh event nobody triggers: only the horizon or an empty
+            # queue ends the loop.
+            stop = Event(self)
+            if until is not None:
+                if until < self._now:
+                    raise ValueError(
+                        f"until={until!r} is in the past (now={self._now!r})"
+                    )
+                horizon = until
         try:
-            while True:
-                entry = self._peek_live()
-                if entry is None or entry[0] > until:
-                    break
-                self.step()
+            self._loop(stop, horizon, False)
         except StopSimulation:
             return
-        self._now = max(self._now, until)
+        if until is not None and stop is not until:
+            self._now = max(self._now, until)
+
+    def _loop(self, stop: Event, horizon: float, once: bool) -> None:
+        """The one dispatch loop behind :meth:`run` and :meth:`step`.
+
+        Pops entries until the queue is empty, ``stop`` has triggered, the
+        next live entry lies beyond ``horizon`` or, when ``once``, one
+        live entry has been dispatched.  Dispatch is inline: a
+        :class:`Wake` resumes its process, a :class:`Callback` runs its
+        function and an :class:`Event` runs its callbacks; an attached
+        tracer observes each one.
+        """
+        queue = self._queue
+        pool = self._cb_pool
+        while queue and stop._value is _PENDING:
+            entry = heappop(queue)
+            obj = entry[3]
+            if obj._cancelled:
+                self._cancelled_queued -= 1
+                continue
+            now = entry[0]
+            if now > horizon:
+                heappush(queue, entry)
+                return
+            self._now = now
+            if self._tracer is not None:
+                self._tracer.observe(now, obj)
+            kind = type(obj)
+            if kind is Wake:
+                # Resume the owning process, unless it was orphaned
+                # (interrupted or terminated) since the wake was armed.
+                if obj.seq == entry[2]:
+                    obj.seq = 0
+                    obj.process._drive(True, None)
+            elif kind is Callback:
+                fn = obj.fn
+                args = obj.args
+                obj.fn = None
+                obj.args = ()
+                if len(pool) < _POOL_LIMIT:
+                    pool.append(obj)
+                fn(*args)
+            else:
+                callbacks, obj.callbacks = obj.callbacks, None
+                for callback in callbacks:
+                    callback(obj)
+                if not obj._ok and not obj._defused:
+                    exc = obj._value
+                    if isinstance(exc, BaseException):
+                        raise exc
+                    raise SimulationError(
+                        f"event failed with non-exception {exc!r}"
+                    )
+            if once:
+                return
 
     def stop(self) -> None:
         """Stop :meth:`run` from inside a callback or process."""

@@ -8,18 +8,16 @@
   wakes the waiting process directly.
 * :class:`Resource` — a counted resource with FIFO queueing, real
   grant/release events and busy-time accounting.
-* :class:`Store` — an unbounded FIFO mailbox of items with a blocking
-  ``get``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Tuple
 
 from .core import NORMAL, PARKED, Event, SimulationError, Simulator, Wake
 
-__all__ = ["FcfsResource", "Lock", "Resource", "Request", "Store"]
+__all__ = ["FcfsResource", "Lock", "Resource", "Request"]
 
 
 class FcfsResource:
@@ -258,55 +256,3 @@ class Resource:
             self._users.append(request)
             request.succeed()
 
-
-class Store:
-    """Unbounded FIFO store of items with blocking ``get``.
-
-    ``put`` never blocks (the reproduction's queues are open-ended, like a
-    listen backlog); ``get`` returns an event that triggers with the oldest
-    item once one is available.
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of queued items (oldest first)."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> None:
-        """Add an item, waking the oldest waiting getter if any."""
-        # Skip getters that were cancelled (triggered externally).
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next available item."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-    def clear(self) -> int:
-        """Drop all queued items, returning how many were dropped."""
-        dropped = len(self._items)
-        self._items.clear()
-        return dropped

@@ -48,7 +48,7 @@ class EventTracer:
         )
         sim._tracer = self
 
-    # Called by Simulator.step for every processed event.
+    # Called by the simulator's dispatch loop for every processed event.
     def observe(self, now: float, event: Event) -> None:
         kind = type(event).__name__
         self.counts[kind] += 1

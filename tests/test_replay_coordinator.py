@@ -171,3 +171,18 @@ def test_wall_clock_decoupled_from_trace_time():
     # 10 intervals x 2s wall each: trace time 3000, wall time 20.
     assert coord.trace_time == 3000.0
     assert sim.now == pytest.approx(20.0)
+
+
+def test_closing_an_abandoned_run_raises_nothing():
+    """GeneratorExit passes through the barrier unwrapped, so closing (or
+    collecting) a coordinator left mid-interval is silent."""
+    sim = Simulator()
+    coord = TimeCoordinator(sim, interval=100.0)
+
+    def participant(start, end):
+        yield sim.timeout(1.0)
+
+    coord.register(participant)
+    gen = coord.run(300.0)
+    next(gen)
+    gen.close()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.replay.experiment as experiment_module
 from repro.core import (
     adaptive_ttl,
     invalidation,
@@ -9,14 +10,17 @@ from repro.core import (
     poll_every_time,
     two_tier_lease,
 )
+from repro.metrics import IostatSampler
 from repro.replay import (
     ExperimentConfig,
+    TimeCoordinator,
     format_comparison_table,
     format_invalidation_costs,
     run_experiment,
     shard_for_client,
     shard_records,
 )
+from repro.server import ServerSite
 from repro.sim import RngRegistry
 from repro.traces import PROFILES, generate_trace
 from repro.workload import DAYS
@@ -230,3 +234,35 @@ class TestFormatting:
             format_comparison_table([])
         with pytest.raises(ValueError):
             format_invalidation_costs([])
+
+
+class TestReplayErrors:
+    def test_program_index_error_is_not_a_deadlock(self, small_trace, monkeypatch):
+        """An IndexError raised by program code escapes the replay as
+        itself; it is not mistaken for an exhausted event queue."""
+
+        def broken(self, url):
+            raise IndexError("check_document bug")
+
+        monkeypatch.setattr(ServerSite, "check_document", broken)
+        with pytest.raises(IndexError, match="check_document bug"):
+            run(small_trace, invalidation(), detection="browser")
+
+    def test_queue_running_dry_is_a_deadlock(self, small_trace, monkeypatch):
+        """A coordinator that can never finish, with nothing left on the
+        queue, is reported as a deadlock."""
+
+        class StuckCoordinator(TimeCoordinator):
+            def run(self, duration):
+                yield self.sim.event()  # nobody ever triggers it
+
+        class IdleSampler(IostatSampler):
+            # A live sampler would keep the queue busy forever.
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.stop()
+
+        monkeypatch.setattr(experiment_module, "TimeCoordinator", StuckCoordinator)
+        monkeypatch.setattr(experiment_module, "IostatSampler", IdleSampler)
+        with pytest.raises(RuntimeError, match="deadlocked"):
+            run(small_trace, invalidation())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Event, SimulationError, Simulator, Timeout
+from repro.sim.core import _COMPACT_MIN_CANCELLED
 
 
 def test_clock_starts_at_zero():
@@ -284,8 +285,6 @@ def test_compaction_preserves_processing_order():
 
 
 def test_far_horizon_events_fire_in_order():
-    # Delays far beyond the calendar window exercise the far heap and the
-    # migration path in _advance_bucket.
     sim = Simulator()
     order = []
     delays = [0.5, 10_000.0, 3.0, 250.0, 100_000.0, 64.0]
@@ -304,3 +303,76 @@ def test_queue_depth_counts_pending_entries():
     assert sim.queue_depth == 2
     sim.run()
     assert sim.queue_depth == 0
+
+
+def test_compaction_inside_run_keeps_the_loop_heap_valid():
+    # A callback cancels enough pending timers to force _compact while the
+    # dispatch loop holds its reference to the heap.  An entry scheduled
+    # after the compaction must still reach that loop.
+    sim = Simulator()
+    fired = []
+    depth = []
+    n = 3 * _COMPACT_MIN_CANCELLED
+    cancelled = {i for i in range(n) if i % 4}
+
+    def urgent():
+        fired.append("urgent")
+        yield sim.sleep(0.0)
+
+    def cancel_many():
+        for i in sorted(cancelled):
+            handles[i].cancel()
+        depth.append(sim.queue_depth)
+        sim.process(urgent())  # URGENT: ahead of the NORMAL entries at t=1
+
+    sim.call_later(1.0, cancel_many)
+    # Times repeat, so the order within one time rests on seq.
+    handles = [sim.call_later(1.0 + i % 7, fired.append, i) for i in range(n)]
+    sim.run()
+    live = sorted((i for i in range(n) if i not in cancelled),
+                  key=lambda i: (i % 7, i))
+    assert fired == ["urgent"] + live
+    assert depth[0] < n - _COMPACT_MIN_CANCELLED  # compaction did run
+    assert sim.queue_depth == 0
+
+
+def test_run_until_event_stops_when_it_triggers():
+    sim = Simulator()
+    fired = []
+    tick = sim.timeout(2.0)
+    sim.call_later(2.0, fired.append, "same time, queued after the tick")
+    sim.call_later(5.0, fired.append, "later")
+
+    def proc():
+        yield tick
+        return "done"
+
+    p = sim.process(proc())
+    sim.run(until=p)
+    assert p.value == "done" and sim.now == 2.0
+    assert fired == []
+    sim.run()
+    assert fired == ["same time, queued after the tick", "later"]
+    assert sim.now == 5.0
+
+
+def test_run_until_event_returns_when_queue_runs_dry():
+    sim = Simulator()
+    never = sim.event()
+    sim.timeout(3.0)
+    sim.run(until=never)
+    assert not never.triggered and sim.now == 3.0
+
+
+def test_step_dispatches_one_live_entry():
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, fired.append, 1)
+    sim.call_later(1.5, fired.append, 2).cancel()
+    sim.call_later(2.0, fired.append, 3)
+    sim.step()
+    assert fired == [1] and sim.now == 1.0
+    sim.step()
+    assert fired == [1, 3] and sim.now == 2.0
+    with pytest.raises(IndexError):
+        sim.step()
